@@ -641,7 +641,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         SimulationParams,
         adaptive_samples,
         engine_samples,
-        sample_technique,
         summarize,
     )
 
@@ -672,7 +671,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
     adaptive = target is not None or variance_reduction is not None
     rows = []
     for technique in techniques:
-        converged = True
         if args.engine:
             samples = engine_samples(
                 technique,
@@ -683,15 +681,12 @@ def cmd_mc(args: argparse.Namespace) -> int:
                 metrics=registry,
                 target_ci=target,
             )
-            if target is None:
-                summary = summarize(samples)
-            else:
-                # engine_samples returns a bare vector; recompute the
-                # stopping predicate so "budget exhausted" is reported
-                # honestly.
-                summary = summarize(samples, confidence=target.confidence)
-                converged = target.met(summary)
-        elif adaptive:
+            # engine_samples returns a bare vector; recompute the stopping
+            # predicate so "budget exhausted" is reported honestly.
+            confidence = target.confidence if target is not None else 0.99
+            summary = summarize(samples, confidence=confidence)
+            converged = target is None or target.met(summary)
+        else:
             cell = adaptive_samples(
                 technique,
                 params,
@@ -702,22 +697,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
             )
             summary = cell.summary
             converged = cell.converged
-        elif cache is not None:
-            key = cache.key(
-                kind="sampler",
-                technique=technique,
-                params=params,
-                runs=args.runs,
-                base_seed=params.seed,
-            )
-            samples = cache.load(key)
-            if samples is None:
-                samples = sample_technique(technique, params, runs=args.runs)
-                cache.store(key, samples)
-            summary = summarize(samples)
-        else:
-            samples = sample_technique(technique, params, runs=args.runs)
-            summary = summarize(samples)
         rows.append(
             {
                 "technique": technique,

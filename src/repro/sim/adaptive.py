@@ -35,23 +35,27 @@ Common random numbers (CRN)
     :func:`~repro.sim.runner.crossover` estimates — are computed on
     positively correlated noise and are far more stable across the grid.
 
-Fused grid evaluation
-    :func:`evaluate_grid` runs the whole (technique × MTTF) grid as one
-    round-based batched evaluation: each round draws the next geometric
-    batch for every still-unconverged cell, sharing the CRN pool and the
-    per-round RNG streams across cells so generator spawning and pool
-    growth are amortised over the grid instead of paid per point.
+One evaluation loop
+    :func:`evaluate_grid` is the entry point for every (technique,
+    params) → samples computation; :func:`adaptive_samples`,
+    :func:`~repro.sim.runner.sweep_mttf`, the declarative
+    :func:`~repro.sim.runner.sweep` and
+    :func:`~repro.sim.engine_mc.engine_samples` are thin aliases over the
+    same private cell loop.  That loop owns the sample-cache lookup,
+    acceptance and store, the fixed-budget single draw, the round-based
+    CI schedule (each round draws the next geometric batch for every
+    still-unconverged cell, sharing the CRN pool across a technique's
+    cells) and the ``jobs=`` fan-out over the persistent worker pool.
 
-Everything here is opt-in: with ``variance_reduction=None`` and no CI
-target, callers fall through to the untouched samplers of
-:mod:`repro.sim.samplers` and results stay bit-identical to fixed-budget
-sampling.  Batches are seeded ``SeedSequence(entropy=seed,
-spawn_key=(salt, batch))`` — disjoint from the single-shot
-``spawn_key=(salt,)`` streams — so adaptive estimates are deterministic
-in their inputs and cacheable (:mod:`repro.sim.cache` kind
-``"adaptive"``; the key deliberately excludes ``max_runs`` so a cached
-cell that satisfies the CI target is a hit regardless of the requested
-budget).
+With ``variance_reduction=None`` and no CI target every cell is the
+untouched sampler of :mod:`repro.sim.samplers`, bit-identical to
+fixed-budget sampling and cached under kind ``"sampler"``.  Otherwise
+batches are seeded ``SeedSequence(entropy=seed, spawn_key=(salt,
+batch))`` — disjoint from the single-shot ``spawn_key=(salt,)`` streams —
+so adaptive estimates are deterministic in their inputs and cacheable
+(:mod:`repro.sim.cache` kind ``"adaptive"``; the key deliberately
+excludes ``max_runs`` so a cached cell that satisfies the CI target is a
+hit regardless of the requested budget).
 """
 
 from __future__ import annotations
@@ -63,6 +67,12 @@ import numpy as np
 
 from ..errors import SimulationError
 from .cache import resolve_cache
+from .parallel import (
+    cell_samples_parallel,
+    engine_samples_parallel,
+    resolve_jobs,
+    seed_for,
+)
 from .params import SimulationParams
 from .samplers import EXTENDED_TECHNIQUES, TECHNIQUES, sample_technique
 from .stats import Summary, summarize, z_value
@@ -187,17 +197,7 @@ class CITarget:
 
     def batch_sizes(self) -> list[int]:
         """The geometric batch schedule up to ``max_runs``."""
-        sizes: list[int] = []
-        total = 0
-        while total < self.max_runs:
-            nxt = (
-                self.min_runs
-                if total == 0
-                else min(self.max_runs, math.ceil(total * self.growth))
-            )
-            sizes.append(nxt - total)
-            total = nxt
-        return sizes
+        return list(self.boundaries_for(self.max_runs))
 
     def boundaries_for(self, n: int) -> tuple[int, ...]:
         """Reconstruct the batch sizes that produced an *n*-draw vector.
@@ -401,14 +401,16 @@ def _vr_summary(
 
 @dataclass(frozen=True, eq=False)
 class CellEstimate:
-    """One (technique, params) cell's adaptive estimate."""
+    """One (technique, params) cell's estimate."""
 
     technique: str
     params: SimulationParams
     #: Raw per-run completion times actually drawn (or loaded).
     samples: np.ndarray
-    #: Variance-reduction-aware summary (CI, effective sample size).
-    summary: Summary
+    #: Variance-reduction-aware summary (CI, effective sample size);
+    #: None for fixed-budget engine cells, whose only caller
+    #: (:func:`~repro.sim.engine_mc.engine_samples`) returns bare samples.
+    summary: Summary | None
     #: Batch sizes in draw order (reconstructs antithetic pairing).
     boundaries: tuple[int, ...]
     #: Whether the CI target was met (False means max_runs exhausted).
@@ -438,7 +440,13 @@ def _crn_pool(params: SimulationParams, technique: str) -> UniformPool:
 
 
 class _CellSampler:
-    """Draws successive batches for one cell under one VR mode."""
+    """Draws successive batches for one standalone-sampler cell.
+
+    A plain cell (no VR mode, no CI target) draws on the sampler's own
+    single-shot stream, bit-identical to :func:`sample_technique`; every
+    other cell draws batch *b* on ``spawn_key=(salt, b)`` under its VR
+    mode, or replays the technique's CRN pool.
+    """
 
     def __init__(
         self,
@@ -446,16 +454,20 @@ class _CellSampler:
         params: SimulationParams,
         mode: str | None,
         pool: UniformPool | None,
+        plain: bool,
     ) -> None:
         self.technique = technique
         self.params = params
         self.mode = mode
+        self.plain = plain
         self._crn = CRNGenerator(pool) if mode == "crn" else None
         self._batch = 0
 
     def draw(self, runs: int) -> np.ndarray:
         if self._crn is not None:
             rng = self._crn  # cursor persists across batches
+        elif self.plain:
+            rng = None
         else:
             rng = _batch_rng(self.params, self.technique, self._batch)
             if self.mode == "antithetic":
@@ -464,68 +476,236 @@ class _CellSampler:
         return sample_technique(self.technique, self.params, rng=rng, runs=runs)
 
 
-def _adaptive_cache_key(
+@dataclass(frozen=True)
+class _EngineRuns:
+    """Draw cells as end-to-end engine runs instead of sampler draws."""
+
+    base_seed: int
+    timeout: float
+    #: Optional :class:`~repro.obs.metrics.MetricsRegistry` for per-run
+    #: histograms and pool counters.
+    metrics: object = None
+
+
+class _EngineCell:
+    """Draws successive batches of engine runs for one cell.
+
+    Batches are contiguous in run-index space: the batch after *total*
+    runs covers indices ``[total, total + size)`` with the per-index
+    seeds of :func:`~repro.sim.parallel.seed_for`, so an adaptive vector
+    is an exact prefix of the fixed-budget vector for the same
+    ``base_seed``.
+    """
+
+    def __init__(
+        self,
+        technique: str,
+        params: SimulationParams,
+        engine: _EngineRuns,
+        jobs: int | None,
+    ) -> None:
+        self.technique = technique
+        self.params = params
+        self.engine = engine
+        self.jobs = jobs
+        self._total = 0
+
+    def draw(self, runs: int) -> np.ndarray:
+        samples = engine_samples_parallel(
+            self.technique,
+            self.params,
+            runs=runs,
+            base_seed=seed_for(self.engine.base_seed, self._total),
+            jobs=self.jobs,
+            timeout=self.engine.timeout,
+            metrics=self.engine.metrics,
+        )
+        self._total += runs
+        return samples
+
+
+def _cell_key(
     store,
     technique: str,
     params: SimulationParams,
+    budget: int,
     mode: str | None,
     target: CITarget | None,
-    runs: int,
+    engine: _EngineRuns | None,
 ) -> str:
-    """Cache key for an adaptive/VR cell.
+    """Cache key for one cell.
 
-    With a CI target the key is budget-independent: it covers the target
-    precision, bounds floor, growth and VR mode but *not* ``max_runs`` —
-    acceptance (:func:`_accepts`) decides at load time whether a stored
-    vector satisfies the caller's budget.  Without a target (fixed-budget
-    VR sampling) the run count is the budget and keys on it.
+    A plain fixed-budget cell keys on its full params and run count
+    (kind ``"sampler"`` or ``"engine"``).  A CI-targeted or
+    variance-reduced cell (``"adaptive"``/``"engine-adaptive"``) keys on
+    ``params.with_runs(1)`` and, under a target, on the target precision,
+    bounds floor and growth but *not* ``max_runs`` (run count 0):
+    acceptance (:func:`_accept`) decides at load time whether a stored
+    vector satisfies the caller's budget.
     """
-    spec = None
-    if target is not None:
-        spec = {
-            "rel": target.rel,
-            "abs": target.abs,
-            "confidence": target.confidence,
-            "min_runs": target.min_runs,
-            "growth": target.growth,
-        }
+    plain = mode is None and target is None
+    if engine is None:
+        kind = "sampler" if plain else "adaptive"
+        base_seed = params.seed
+        extra = {} if plain else {"variance_reduction": mode}
+    else:
+        kind = "engine" if plain else "engine-adaptive"
+        base_seed = engine.base_seed
+        extra = {"timeout": engine.timeout}
+    if not plain:
+        params = params.with_runs(1)
+        extra["target"] = None
+        if target is not None:
+            extra["target"] = {
+                "rel": target.rel,
+                "abs": target.abs,
+                "confidence": target.confidence,
+                "min_runs": target.min_runs,
+                "growth": target.growth,
+            }
     return store.key(
-        kind="adaptive",
+        kind=kind,
         technique=technique,
-        params=params.with_runs(1),
-        runs=0 if target is not None else runs,
-        base_seed=params.seed,
-        extra={"variance_reduction": mode, "target": spec},
+        params=params,
+        runs=0 if target is not None else budget,
+        base_seed=base_seed,
+        extra=extra,
     )
 
 
-def _accepts(
-    samples: np.ndarray,
-    technique: str,
-    params: SimulationParams,
-    mode: str | None,
-    target: CITarget | None,
-    runs: int,
-) -> CellEstimate | None:
-    """Re-evaluate a cached vector against the *caller's* budget."""
+def _accept(
+    samples: np.ndarray, budget: int, target: CITarget | None, summarise
+) -> tuple[Summary | None, tuple[int, ...], bool] | None:
+    """Re-evaluate a cached vector against the *caller's* budget:
+    ``(summary, boundaries, converged)``, or None to draw afresh."""
     if target is None:
-        if samples.size != runs:
+        if samples.size != budget:
             return None
         boundaries = (samples.size,)
-        summary = _vr_summary(samples, boundaries, mode, 0.99)
-        return CellEstimate(
-            technique, params, samples, summary, boundaries, True, cached=True
-        )
-    if samples.size < target.min_runs:
+    elif samples.size < target.min_runs:
         return None
-    boundaries = target.boundaries_for(samples.size)
-    summary = _vr_summary(samples, boundaries, mode, target.confidence)
-    converged = target.met(summary)
+    else:
+        boundaries = target.boundaries_for(samples.size)
+    summary = summarise(samples, boundaries)
+    converged = target is None or target.met(summary)
     if not converged and samples.size < target.max_runs:
         return None  # caller's budget allows refining further: recompute
-    return CellEstimate(
-        technique, params, samples, summary, boundaries, converged, cached=True
-    )
+    return summary, boundaries, converged
+
+
+def _evaluate_cells(
+    cells: list[tuple[str, SimulationParams]],
+    *,
+    target: "CITarget | float | None" = None,
+    variance_reduction: str | None = None,
+    runs: int | None = None,
+    cache=None,
+    jobs: int | None = None,
+    engine: _EngineRuns | None = None,
+) -> dict[int, CellEstimate]:
+    """The one (technique, params) → samples loop behind every entry point.
+
+    Every cell is first looked up in the sample cache and kept when the
+    stored vector satisfies this request.  The rest are drawn in rounds:
+    round *r* draws batch *r* of the :class:`CITarget` schedule for each
+    cell that has neither met the target nor exhausted ``max_runs``, so
+    the easy bulk drops out after the first round and only the hard tail
+    keeps sampling.  Without a target each cell draws one fixed batch of
+    *runs* (its ``params.runs`` when unset).  Every finished cell is
+    stored in the cache.  Returns ``{cell index: estimate}`` in the order
+    the cells finished.
+
+    Draws come from the standalone samplers, looked up through this
+    module's ``sample_technique`` global, or with *engine* from
+    end-to-end engine runs.  *jobs* fans work out over the persistent
+    worker pool: plain fixed-budget sampler cells one per task, engine
+    batches in run-index shards.  Adaptive sampler rounds run in
+    process.  Results are bit-identical for every *jobs*.
+    """
+    mode = resolve_variance_reduction(variance_reduction)
+    target = CITarget.of(target)
+    for technique, _ in cells:
+        if technique not in EXTENDED_TECHNIQUES:
+            raise SimulationError(
+                f"unknown technique {technique!r}; "
+                f"expected one of {EXTENDED_TECHNIQUES}"
+            )
+    store = resolve_cache(cache)
+    plain = mode is None and target is None
+    budgets = [runs if runs is not None else p.runs for _, p in cells]
+    confidence = target.confidence if target is not None else 0.99
+
+    def summarise(samples, boundaries):
+        if engine is not None and target is None:
+            # Nothing reads it (engine_samples returns bare samples), and
+            # its percentile pass would be the only numpy.ma use on the
+            # engine path.
+            return None
+        return _vr_summary(samples, boundaries, mode, confidence)
+
+    out: dict[int, CellEstimate] = {}
+    keys: list[str | None] = [None] * len(cells)
+    if store is not None:
+        for i, (technique, params) in enumerate(cells):
+            keys[i] = _cell_key(
+                store, technique, params, budgets[i], mode, target, engine
+            )
+            hit = store.load(keys[i])
+            if hit is None:
+                continue
+            accepted = _accept(hit, budgets[i], target, summarise)
+            if accepted is not None:
+                out[i] = CellEstimate(technique, params, hit, *accepted, cached=True)
+    pending = [i for i in range(len(cells)) if i not in out]
+
+    pools: dict[tuple[str, int], UniformPool] = {}
+    draws: dict[int, _CellSampler | _EngineCell] = {}
+    for i in pending:
+        technique, params = cells[i]
+        if engine is not None:
+            draws[i] = _EngineCell(technique, params, engine, jobs)
+            continue
+        pool = None
+        if mode == "crn":  # one pool per technique stream, shared by cells
+            if (technique, params.seed) not in pools:
+                pools[technique, params.seed] = _crn_pool(params, technique)
+            pool = pools[technique, params.seed]
+        draws[i] = _CellSampler(technique, params, mode, pool, plain)
+    fan_out = plain and engine is None and len(pending) > 1 and resolve_jobs(jobs) > 1
+
+    chunks: dict[int, list[np.ndarray]] = {i: [] for i in pending}
+    schedule = target.batch_sizes() if target is not None else [None]
+    for size in schedule:
+        if not pending:
+            break
+        if fan_out:
+            drawn = cell_samples_parallel(
+                [cells[i] for i in pending], runs=runs, jobs=jobs
+            )
+        else:
+            drawn = (
+                draws[i].draw(budgets[i] if size is None else size)
+                for i in pending
+            )
+        for i, batch in zip(pending, drawn):
+            chunks[i].append(batch)
+            samples = batch if len(chunks[i]) == 1 else np.concatenate(chunks[i])
+            boundaries = tuple(c.size for c in chunks[i])
+            summary = summarise(samples, boundaries)
+            converged = target is None or target.met(summary)
+            if converged or samples.size >= target.max_runs:
+                technique, params = cells[i]
+                out[i] = CellEstimate(
+                    technique, params, samples, summary, boundaries, converged
+                )
+                if store is not None:
+                    store.store(keys[i], samples)
+        pending = [i for i in pending if i not in out]
+    if pending:  # pragma: no cover - schedule always covers max_runs
+        raise SimulationError(
+            f"{len(pending)} cell(s) left unsampled by the batch schedule"
+        )
+    return out
 
 
 def adaptive_samples(
@@ -537,10 +717,10 @@ def adaptive_samples(
     runs: int | None = None,
     cache=None,
 ) -> CellEstimate:
-    """Adaptively sample one (technique, params) cell.
+    """One (technique, params) cell of :func:`evaluate_grid`.
 
-    With both *target* and *variance_reduction* unset this defers to the
-    plain fixed-budget sampler (bit-identical to
+    With both *target* and *variance_reduction* unset this is the plain
+    fixed-budget sampler (bit-identical to
     :func:`~repro.sim.samplers.sample_technique`).  Otherwise draws
     geometric batches under the VR mode until the :class:`CITarget` is
     met (or ``max_runs`` spent); with a *target* the *runs* argument is
@@ -610,119 +790,35 @@ def evaluate_grid(
     variance_reduction: str | None = None,
     runs: int | None = None,
     cache=None,
+    jobs: int | None = None,
 ) -> GridEvaluation:
-    """Fused adaptive evaluation of a (technique × MTTF) grid.
+    """Monte-Carlo estimates for a (technique × MTTF) grid — the
+    evaluation entry point.
 
-    One round-based loop drives every cell: round *r* draws batch *r*
-    for each cell that has neither met the CI target nor exhausted
-    ``max_runs``, so the easy bulk of the grid drops out after the first
-    round and only the hard tail keeps sampling.  Under CRN all cells of
-    a technique share one :class:`UniformPool`, each replaying it from
-    position zero; the pool grows once per round to the deepest cursor
-    instead of once per cell.
-
-    Without a target, every cell draws a single fixed batch of *runs*
-    (``params.runs`` when unset) under the VR mode; without a VR mode
-    *and* without a target the per-cell vectors are exactly
-    :func:`~repro.sim.samplers.sample_technique`'s.
+    Without *target* or *variance_reduction* every cell draws *runs*
+    (``params.runs`` when unset) from the untouched single-shot sampler,
+    exactly :func:`~repro.sim.samplers.sample_technique`'s vector; *jobs*
+    spreads those cells over the persistent worker pool (see
+    :func:`~repro.sim.parallel.resolve_jobs`), bit-identically.  With a
+    *target* the grid is evaluated round by round until every cell meets
+    the :class:`CITarget` or its ``max_runs``; under CRN all cells of a
+    technique share one :class:`UniformPool`, each replaying it from
+    position zero.  *cache* content-addresses every cell in the sample
+    cache (:mod:`repro.sim.cache`).
     """
-    mode = resolve_variance_reduction(variance_reduction)
-    tgt = CITarget.of(target)
     techniques = tuple(techniques)
     mttfs = tuple(float(m) for m in mttfs)
-    for technique in techniques:
-        if technique not in EXTENDED_TECHNIQUES:
-            raise SimulationError(
-                f"unknown technique {technique!r}; "
-                f"expected one of {EXTENDED_TECHNIQUES}"
-            )
-    store = resolve_cache(cache)
-    fixed_runs = runs if runs is not None else params.runs
-
-    cells: dict[tuple[str, float], CellEstimate] = {}
-    pending: dict[tuple[str, float], _CellSampler] = {}
-    chunks: dict[tuple[str, float], list[np.ndarray]] = {}
-    pools: dict[str, UniformPool] = {}
-
-    for technique in techniques:
-        if mode == "crn":
-            pools[technique] = _crn_pool(params, technique)
-        for mttf in mttfs:
-            cell = (technique, mttf)
-            cell_params = params.with_mttf(mttf)
-            if mode is None and tgt is None:
-                # Bit-identical fast path: the untouched single-shot
-                # sampler, salted exactly as it always was.
-                samples = sample_technique(
-                    technique, cell_params, runs=fixed_runs
-                )
-                cells[cell] = CellEstimate(
-                    technique,
-                    cell_params,
-                    samples,
-                    summarize(samples),
-                    (samples.size,),
-                    True,
-                )
-                continue
-            if store is not None:
-                key = _adaptive_cache_key(
-                    store, technique, cell_params, mode, tgt, fixed_runs
-                )
-                hit = store.load(key)
-                if hit is not None:
-                    accepted = _accepts(
-                        hit, technique, cell_params, mode, tgt, fixed_runs
-                    )
-                    if accepted is not None:
-                        cells[cell] = accepted
-                        continue
-            pending[cell] = _CellSampler(
-                technique, cell_params, mode, pools.get(technique)
-            )
-            chunks[cell] = []
-
-    schedule = tgt.batch_sizes() if tgt is not None else [fixed_runs]
-    totals = {cell: 0 for cell in pending}
-    for batch_size in schedule:
-        if not pending:
-            break
-        for cell in list(pending):
-            sampler = pending[cell]
-            chunks[cell].append(sampler.draw(batch_size))
-            totals[cell] += batch_size
-            samples = (
-                chunks[cell][0]
-                if len(chunks[cell]) == 1
-                else np.concatenate(chunks[cell])
-            )
-            boundaries = tuple(c.size for c in chunks[cell])
-            confidence = tgt.confidence if tgt is not None else 0.99
-            summary = _vr_summary(samples, boundaries, mode, confidence)
-            converged = tgt is None or tgt.met(summary)
-            exhausted = tgt is not None and totals[cell] >= tgt.max_runs
-            if converged or exhausted:
-                del pending[cell]
-                cells[cell] = CellEstimate(
-                    sampler.technique,
-                    sampler.params,
-                    samples,
-                    summary,
-                    boundaries,
-                    converged,
-                )
-                if store is not None:
-                    key = _adaptive_cache_key(
-                        store,
-                        sampler.technique,
-                        sampler.params,
-                        mode,
-                        tgt,
-                        fixed_runs,
-                    )
-                    store.store(key, samples)
-    if pending:  # pragma: no cover - schedule always covers max_runs
-        raise SimulationError(
-            f"{len(pending)} cell(s) left unsampled by the batch schedule"
-        )
-    return GridEvaluation(cells=cells, mttfs=mttfs, techniques=techniques)
+    grid = [(t, m) for t in techniques for m in mttfs]
+    estimates = _evaluate_cells(
+        [(t, params.with_mttf(m)) for t, m in grid],
+        target=target,
+        variance_reduction=variance_reduction,
+        runs=runs,
+        cache=cache,
+        jobs=jobs,
+    )
+    return GridEvaluation(
+        cells={grid[i]: cell for i, cell in estimates.items()},
+        mttfs=mttfs,
+        techniques=techniques,
+    )

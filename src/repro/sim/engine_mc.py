@@ -30,6 +30,9 @@ from ..grid.resource import ResourceSpec
 from ..grid.simgrid import GridConfig, SimulatedGrid
 from ..wpdl.builder import WorkflowBuilder
 from ..wpdl.model import Workflow
+from .adaptive import CITarget, _EngineRuns, _evaluate_cells
+from .cache import resolve_cache
+from .parallel import DEFAULT_RUN_TIMEOUT
 from .params import SimulationParams
 from .samplers import EXTENDED_TECHNIQUES
 
@@ -115,7 +118,7 @@ class EngineSampler:
         technique: str,
         params: SimulationParams,
         *,
-        timeout: float = 10_000_000.0,
+        timeout: float = DEFAULT_RUN_TIMEOUT,
         trace_context: bool = False,
     ) -> None:
         self.technique = technique
@@ -223,7 +226,7 @@ def run_engine_once(
     params: SimulationParams,
     *,
     seed: int,
-    timeout: float = 10_000_000.0,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
 ) -> float:
     """One end-to-end engine execution; returns the completion time.
 
@@ -257,94 +260,6 @@ def run_engine_once(
     return result.completion_time
 
 
-def _engine_adaptive(
-    technique: str,
-    params: SimulationParams,
-    target_ci,
-    runs: int,
-    base_seed: int,
-    jobs: int | None,
-    timeout: float,
-    cache,
-    metrics,
-) -> np.ndarray:
-    """CI-targeted engine sampling, sharing :class:`repro.sim.adaptive`'s
-    stopping rule.
-
-    Batches are contiguous in run-index space (batch *b* covers indices
-    ``[total, total + size)`` with the per-index seeds of
-    :func:`~repro.sim.parallel.seed_for`), so the adaptive vector is
-    always an exact prefix of the fixed-budget vector for the same
-    ``base_seed`` — the agreement oracle sees the same runs, just fewer
-    of them.  Cached under kind ``"engine-adaptive"`` with a
-    budget-independent key: a stored vector that meets the target is a
-    hit regardless of the caller's ``max_runs``.
-    """
-    from .adaptive import CITarget
-    from .cache import resolve_cache
-    from .parallel import SEED_STRIDE, engine_samples_parallel
-    from .stats import summarize
-
-    if isinstance(target_ci, CITarget):
-        tgt = target_ci
-    else:
-        # A bare number is a relative target; the runs= argument becomes
-        # the budget ceiling (keeping engine call sites cheap to write).
-        min_runs = max(2, min(100, runs))
-        tgt = CITarget(
-            rel=float(target_ci),
-            min_runs=min_runs,
-            max_runs=max(runs, min_runs),
-        )
-    store = resolve_cache(cache)
-    key = None
-    if store is not None:
-        key = store.key(
-            kind="engine-adaptive",
-            technique=technique,
-            params=params.with_runs(1),
-            runs=0,
-            base_seed=base_seed,
-            extra={
-                "timeout": timeout,
-                "target": {
-                    "rel": tgt.rel,
-                    "abs": tgt.abs,
-                    "confidence": tgt.confidence,
-                    "min_runs": tgt.min_runs,
-                    "growth": tgt.growth,
-                },
-            },
-        )
-        hit = store.load(key)
-        if hit is not None and hit.size >= tgt.min_runs:
-            summary = summarize(hit, confidence=tgt.confidence)
-            if tgt.met(summary) or hit.size >= tgt.max_runs:
-                return hit
-    chunks: list[np.ndarray] = []
-    total = 0
-    samples = np.empty(0)
-    for batch in tgt.batch_sizes():
-        chunks.append(
-            engine_samples_parallel(
-                technique,
-                params,
-                runs=batch,
-                base_seed=base_seed + SEED_STRIDE * total,
-                jobs=jobs,
-                timeout=timeout,
-                metrics=metrics,
-            )
-        )
-        total += batch
-        samples = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if tgt.met(summarize(samples, confidence=tgt.confidence)):
-            break
-    if store is not None:
-        store.store(key, samples)
-    return samples
-
-
 def engine_samples(
     technique: str,
     params: SimulationParams,
@@ -352,7 +267,7 @@ def engine_samples(
     runs: int = 500,
     base_seed: int | None = None,
     jobs: int | None = None,
-    timeout: float = 10_000_000.0,
+    timeout: float = DEFAULT_RUN_TIMEOUT,
     cache=None,
     metrics=None,
     target_ci=None,
@@ -361,7 +276,9 @@ def engine_samples(
 
     Hundreds of runs give means within a few percent of the 100k-run
     samplers — enough for the cross-validation tests and figure overlays
-    without burning minutes per point.
+    without burning minutes per point.  The cell runs through
+    :func:`~repro.sim.adaptive.evaluate_grid`'s loop with end-to-end
+    engine runs as its draw step.
 
     Run *i* is seeded ``base_seed + 7919*i``; with ``jobs > 1`` the runs
     fan out over the persistent process pool in contiguous index shards
@@ -386,53 +303,36 @@ def engine_samples(
     is a relative half-width target with *runs* as the budget ceiling, a
     :class:`~repro.sim.adaptive.CITarget` is used as-is.  Runs stay
     seeded per index, so the adaptive vector is an exact prefix of the
-    fixed-budget vector (see :func:`_engine_adaptive`).
+    fixed-budget vector, cached under kind ``"engine-adaptive"``
+    regardless of the caller's ``max_runs``.
     """
-    from .cache import resolve_cache
-    from .parallel import engine_samples_parallel
-
-    base_seed = params.seed if base_seed is None else base_seed
-    if target_ci is not None:
-        return _engine_adaptive(
-            technique,
-            params,
-            target_ci,
-            runs,
-            base_seed,
-            jobs,
-            timeout,
-            cache,
-            metrics,
+    target = target_ci
+    if target_ci is not None and not isinstance(target_ci, CITarget):
+        # A bare number is a relative target; the runs= argument becomes
+        # the budget ceiling (keeping engine call sites cheap to write).
+        min_runs = max(2, min(100, runs))
+        target = CITarget(
+            rel=float(target_ci),
+            min_runs=min_runs,
+            max_runs=max(runs, min_runs),
         )
     store = resolve_cache(cache)
-    if store is not None:
-        key = store.key(
-            kind="engine",
-            technique=technique,
-            params=params,
-            runs=runs,
-            base_seed=base_seed,
-            extra={"timeout": timeout},
-        )
-        hit = store.load(key)
-        if metrics is not None:
-            metrics.counter(
-                "mc_disk_cache_hits_total" if hit is not None
-                else "mc_disk_cache_misses_total",
-                help="sample-vector lookups in the on-disk cache",
-                technique=technique,
-            ).inc()
-        if hit is not None:
-            return hit
-    samples = engine_samples_parallel(
-        technique,
-        params,
+    cell = _evaluate_cells(
+        [(technique, params)],
+        target=target,
         runs=runs,
-        base_seed=base_seed,
+        cache=store,
         jobs=jobs,
-        timeout=timeout,
-        metrics=metrics,
-    )
-    if store is not None:
-        store.store(key, samples)
-    return samples
+        engine=_EngineRuns(
+            base_seed=params.seed if base_seed is None else base_seed,
+            timeout=timeout,
+            metrics=metrics,
+        ),
+    )[0]
+    if store is not None and metrics is not None:
+        metrics.counter(
+            "mc_disk_cache_hits_total" if cell.cached else "mc_disk_cache_misses_total",
+            help="sample-vector lookups in the on-disk cache",
+            technique=technique,
+        ).inc()
+    return cell.samples

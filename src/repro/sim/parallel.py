@@ -58,7 +58,6 @@ __all__ = [
     "shard_bounds",
     "resolve_jobs",
     "engine_samples_parallel",
-    "sweep_samples_parallel",
     "cell_samples_parallel",
 ]
 
@@ -292,16 +291,7 @@ def engine_samples_parallel(
     return times
 
 
-# -- standalone-sampler sweeps -------------------------------------------------
-
-
-def _sweep_point(
-    technique: str, params: SimulationParams, mttf: float, runs: int | None
-) -> np.ndarray:
-    """Worker body: one (technique, MTTF) point of a standard sweep."""
-    from .samplers import sample_technique
-
-    return sample_technique(technique, params.with_mttf(mttf), runs=runs)
+# -- standalone-sampler cells -------------------------------------------------
 
 
 def _cell_point(
@@ -319,11 +309,11 @@ def cell_samples_parallel(
     runs: int | None = None,
     jobs: int | None = None,
 ) -> list[np.ndarray]:
-    """Sample arbitrary ``(technique, params)`` cells across the persistent
-    pool — the generic-sweep sibling of :func:`sweep_samples_parallel`,
-    for sweeps whose x axis is *any* parameter (replica count, overhead,
-    downtime), not just MTTF.  Cell order matches the sequential
-    evaluation exactly; each cell draws from its own seeded generator."""
+    """Sample ``(technique, params)`` cells across the persistent pool, one
+    cell per task — the fixed-budget fan-out of
+    :func:`repro.sim.adaptive.evaluate_grid`.  Cell order matches the
+    sequential evaluation exactly; each cell draws from its own seeded
+    generator, so placement and completion order are irrelevant."""
     jobs = min(resolve_jobs(jobs), len(cells) or 1)
     if jobs <= 1:
         return [_cell_point(t, p, runs) for t, p in cells]
@@ -334,35 +324,6 @@ def cell_samples_parallel(
             for i, (t, p) in enumerate(cells)
         }
         results: list[np.ndarray | None] = [None] * len(cells)
-        for future in as_completed(futures):
-            results[futures[future]] = future.result()
-        return results
-
-    return _submit_resilient(jobs, submit_all)
-
-
-def sweep_samples_parallel(
-    points: list[tuple[str, float]],
-    params: SimulationParams,
-    *,
-    runs: int | None = None,
-    jobs: int | None = None,
-) -> list[np.ndarray]:
-    """Sample every ``(technique, mttf)`` point of a sweep, fanning points
-    out over *jobs* workers of the persistent pool.  Point order (and
-    therefore every sample vector) matches the sequential evaluation
-    exactly — each point draws from its own seeded generator, so placement
-    and completion order are irrelevant."""
-    jobs = min(resolve_jobs(jobs), len(points) or 1)
-    if jobs <= 1:
-        return [_sweep_point(t, params, m, runs) for t, m in points]
-
-    def submit_all(pool):
-        futures = {
-            pool.submit(_sweep_point, t, params, m, runs): i
-            for i, (t, m) in enumerate(points)
-        }
-        results: list[np.ndarray | None] = [None] * len(points)
         for future in as_completed(futures):
             results[futures[future]] = future.result()
         return results

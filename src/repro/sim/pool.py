@@ -12,9 +12,7 @@ Process-wide pool singleton
     to every caller for the life of the process (growing it when a caller
     asks for more workers than it was built with).  All sweep points and
     all ``engine_samples`` calls share it, so fork/import costs are paid
-    once per process, not once per call.  :func:`persistent_pool` is the
-    context-manager spelling for callers that want an explicit scope; the
-    pool deliberately *survives* the ``with`` block — teardown is explicit
+    once per process, not once per call.  Teardown is explicit
     (:func:`shutdown_pool`) or automatic at interpreter exit.
 
 Per-worker sampler cache
@@ -44,7 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "get_pool",
-    "persistent_pool",
     "pool_size",
     "shutdown_pool",
     "worker_sampler",
@@ -95,26 +92,6 @@ def shutdown_pool() -> None:
         pool, _POOL, _POOL_WORKERS = _POOL, None, 0
     if pool is not None:
         pool.shutdown(wait=True)
-
-
-class persistent_pool:
-    """Context manager over :func:`get_pool`.
-
-    ``with persistent_pool(4) as pool:`` yields the shared executor.  On
-    exit the pool is left **running** — persistence is the point — unless
-    constructed with ``shutdown_on_exit=True``.
-    """
-
-    def __init__(self, workers: int, *, shutdown_on_exit: bool = False) -> None:
-        self.workers = workers
-        self.shutdown_on_exit = shutdown_on_exit
-
-    def __enter__(self) -> ProcessPoolExecutor:
-        return get_pool(self.workers)
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.shutdown_on_exit:
-            shutdown_pool()
 
 
 atexit.register(shutdown_pool)

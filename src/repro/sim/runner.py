@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import SimulationError
-from .parallel import cell_samples_parallel, sweep_samples_parallel
+from .adaptive import _evaluate_cells, evaluate_grid
 from .params import SimulationParams
 from .samplers import TECHNIQUES
 from .stats import Summary, summarize
@@ -126,11 +126,11 @@ def sweep(
       content-addressed, so ``jobs=``/``cache=`` are rejected here.
     * ``sweep(xs, technique=..., params_of=..., label=...)`` — *params_of*
       maps an x to the cell's :class:`SimulationParams`.  This declarative
-      form routes through the same per-point machinery as
-      :func:`sweep_mttf`: cells fan out across the persistent pool
-      (``jobs=``) and each cell is independently content-addressed in the
-      sample cache (``cache=``), so ablation sweeps built on ``sweep``
-      get pool + cache for free.
+      form runs through :func:`~repro.sim.adaptive.evaluate_grid`'s cell
+      loop: cells fan out across the persistent pool (``jobs=``) and each
+      cell is independently content-addressed in the sample cache
+      (``cache=``), so ablation sweeps built on ``sweep`` get pool +
+      cache for free.
     """
     xs = tuple(float(x) for x in xs)
     if fn is not None:
@@ -153,37 +153,13 @@ def sweep(
         )
     if technique is None or params_of is None:
         raise SimulationError("sweep needs fn, or technique and params_of")
-    from .cache import resolve_cache
-
-    store = resolve_cache(cache)
-    cells = [params_of(x) for x in xs]
-
-    def key_for(cell_params: SimulationParams) -> str:
-        return store.key(
-            kind="sampler",
-            technique=technique,
-            params=cell_params,
-            runs=runs if runs is not None else cell_params.runs,
-            base_seed=cell_params.seed,
-        )
-
-    samples: dict[int, np.ndarray] = {}
-    if store is not None:
-        for i, cell_params in enumerate(cells):
-            hit = store.load(key_for(cell_params))
-            if hit is not None:
-                samples[i] = hit
-    missing = [i for i in range(len(cells)) if i not in samples]
-    if missing:
-        vectors = cell_samples_parallel(
-            [(technique, cells[i]) for i in missing], runs=runs, jobs=jobs
-        )
-        for i, vector in zip(missing, vectors):
-            samples[i] = vector
-            if store is not None:
-                store.store(key_for(cells[i]), vector)
-
-    summaries = tuple(summarize(samples[i]) for i in range(len(cells)))
+    estimates = _evaluate_cells(
+        [(technique, params_of(x)) for x in xs],
+        runs=runs,
+        jobs=jobs,
+        cache=cache,
+    )
+    summaries = tuple(estimates[i].summary for i in range(len(xs)))
     return Series(
         label=label,
         x=xs,
@@ -205,81 +181,25 @@ def sweep_mttf(
 ) -> dict[str, Series]:
     """The paper's standard experiment: E[T] vs MTTF per technique.
 
-    With ``jobs > 1`` the (technique, MTTF) points are sampled across the
-    persistent process pool
-    (:func:`repro.sim.parallel.sweep_samples_parallel`); every point is
-    independently seeded, so the series are identical to the sequential
-    evaluation.
-
-    *cache* opts in to the content-addressed sample cache
-    (:mod:`repro.sim.cache`): each (technique, MTTF) point is keyed
-    independently, so regenerating a sweep re-samples only the points
-    whose inputs changed — an unchanged figure regenerates from disk
-    without drawing a single sample.
-
-    *target_ci* (a :class:`~repro.sim.adaptive.CITarget` or a bare
-    relative half-width) and *variance_reduction* (``"antithetic"`` /
-    ``"crn"``) route the sweep through the fused adaptive evaluator
-    (:func:`repro.sim.adaptive.evaluate_grid`): cells sample in geometric
-    batches until they meet the CI target, under the chosen
-    variance-reduction kernel.  With both left at ``None`` this function
-    is exactly the fixed-budget path below — bit-identical output.
+    A thin alias for :func:`repro.sim.adaptive.evaluate_grid` returning
+    its per-technique series: *jobs* fans the points out over the
+    persistent worker pool (identical series to the sequential
+    evaluation), *cache* keys each (technique, MTTF) point independently
+    in the content-addressed sample cache, and *target_ci* /
+    *variance_reduction* switch to CI-targeted, variance-reduced
+    sampling.  With both left at ``None`` every point is a plain
+    fixed-budget sampler draw.
     """
-    if target_ci is not None or variance_reduction is not None:
-        from .adaptive import evaluate_grid
-
-        grid = evaluate_grid(
-            params,
-            mttfs,
-            tuple(techniques),
-            target=target_ci,
-            variance_reduction=variance_reduction,
-            runs=runs,
-            cache=cache,
-        )
-        return grid.series()
-    from .cache import resolve_cache
-
-    techniques = list(techniques)
-    store = resolve_cache(cache)
-    points = [(t, float(m)) for t in techniques for m in mttfs]
-    point_runs = runs if runs is not None else params.runs
-
-    def key_for(technique: str, mttf: float) -> str:
-        return store.key(
-            kind="sampler",
-            technique=technique,
-            params=params.with_mttf(mttf),
-            runs=point_runs,
-            base_seed=params.seed,
-        )
-
-    samples: dict[tuple[str, float], np.ndarray] = {}
-    if store is not None:
-        for t, m in points:
-            hit = store.load(key_for(t, m))
-            if hit is not None:
-                samples[(t, m)] = hit
-    missing = [p for p in points if p not in samples]
-    if missing:
-        vectors = sweep_samples_parallel(missing, params, runs=runs, jobs=jobs)
-        for point, vector in zip(missing, vectors):
-            samples[point] = vector
-            if store is not None:
-                store.store(key_for(*point), vector)
-
-    out: dict[str, Series] = {}
-    for technique in techniques:
-        summaries = tuple(
-            summarize(samples[(technique, float(m))]) for m in mttfs
-        )
-        out[technique] = Series(
-            label=TECHNIQUE_LABELS.get(technique, technique),
-            x=tuple(float(m) for m in mttfs),
-            y=tuple(s.mean for s in summaries),
-            summaries=summaries,
-        )
-    return out
+    return evaluate_grid(
+        params,
+        mttfs,
+        techniques,
+        target=target_ci,
+        variance_reduction=variance_reduction,
+        runs=runs,
+        cache=cache,
+        jobs=jobs,
+    ).series()
 
 
 def crossover(a: Series, b: Series) -> float | None:

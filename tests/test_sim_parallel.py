@@ -17,11 +17,11 @@ from repro.sim.engine_mc import EngineSampler, engine_samples, run_engine_once
 from repro.sim.params import SimulationParams
 from repro.sim.parallel import (
     SEED_STRIDE,
+    cell_samples_parallel,
     engine_samples_parallel,
     resolve_jobs,
     seed_for,
     shard_bounds,
-    sweep_samples_parallel,
 )
 from repro.sim.runner import sweep_mttf
 
@@ -233,9 +233,13 @@ class TestProfileHelper:
 class TestSweepParallel:
     def test_points_match_sequential_evaluation(self):
         params = SimulationParams(runs=500)
-        points = [("retrying", 10.0), ("retrying", 50.0), ("replication", 10.0)]
-        seq = sweep_samples_parallel(points, params, runs=500, jobs=1)
-        par = sweep_samples_parallel(points, params, runs=500, jobs=2)
+        cells = [
+            ("retrying", params.with_mttf(10.0)),
+            ("retrying", params.with_mttf(50.0)),
+            ("replication", params.with_mttf(10.0)),
+        ]
+        seq = cell_samples_parallel(cells, runs=500, jobs=1)
+        par = cell_samples_parallel(cells, runs=500, jobs=2)
         assert len(seq) == len(par) == 3
         for a, b in zip(seq, par):
             assert np.array_equal(a, b)

@@ -15,7 +15,6 @@ from repro.sim.parallel import _engine_shard, seed_for
 from repro.sim.pool import (
     clear_sampler_cache,
     get_pool,
-    persistent_pool,
     pool_size,
     sampler_cache_info,
     shutdown_pool,
@@ -72,24 +71,6 @@ class TestPoolSingleton:
         pool = get_pool(2)
         assert pool.submit(sum, (1, 2, 3)).result() == 6
         assert get_pool(2) is pool
-
-
-class TestPersistentPoolContext:
-    @pytest.fixture(autouse=True)
-    def _isolate(self, fresh_pool):
-        pass
-
-    def test_yields_the_shared_pool_and_leaves_it_running(self):
-        with persistent_pool(2) as pool:
-            assert pool is get_pool(2)
-        # Persistence is the point: the pool outlives the with block.
-        assert pool_size() == 2
-        assert get_pool(2) is pool
-
-    def test_shutdown_on_exit_tears_down(self):
-        with persistent_pool(1, shutdown_on_exit=True) as pool:
-            assert pool.submit(len, "abc").result() == 3
-        assert pool_size() == 0
 
 
 class TestWorkerSamplerCache:
