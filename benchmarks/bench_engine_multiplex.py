@@ -3,20 +3,23 @@
 Not a paper figure: a systems benchmark for the multiplexed engine host
 (:class:`repro.engine.host.EngineHost`).  One shared reactor/kernel, bus,
 failure detector and broker drive N concurrent workflow instances; the
-ramp runs N = 1, 10, 100, 1000 (cap overridable via
+ramp runs every level of N = 1, 10, 100, 1000, 10000 (cap overridable via
 ``REPRO_BENCH_MULTIPLEX_MAX``) and records, per level:
 
 * **events/sec** — bus publishes over wall-clock seconds (every task
-  state change, recovery dispatch and engine lifecycle event crosses the
-  bus, so this is the end-to-end event throughput of the stack);
+  state change, recovery dispatch and engine lifecycle event that
+  someone listens to crosses the bus);
 * **wall seconds per workflow** — amortized cost of one instance;
 * **bus-dispatch share** — fraction of wall time spent inside
-  ``EventBus.publish`` (including handler execution), the multiplexing
-  hot path the route cache exists for.
+  ``EventBus.publish`` (including handler execution);
+* **calls per task** — Python calls into ``repro`` code per completed
+  task, counted with ``sys.setprofile`` in a second, untimed run of the
+  same level (comprehension and generator-expression frames excluded, as
+  in ``tests/test_perf_budget.py``).  Unlike wall time it is exact and
+  machine-independent, so a level's cost can be compared across changes.
 
-The ramp continues until events/sec saturates (an improvement below 10%
-over the previous level) or the cap is reached; the saturation level is
-recorded in the JSON payload.
+Every level is measured: the cost that grows with the number of instances
+in flight (retained state, garbage collection) only shows at 1k and 10k.
 
 The **determinism oracle** runs 100 instances of the same specification
 multiplexed on one runtime, then the same 100 as isolated sequential
@@ -35,6 +38,7 @@ Results land in ``results/BENCH_engine_multiplex.json``.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 from _common import emit_results, once
@@ -49,9 +53,11 @@ from repro.grid import (
 )
 from repro.wpdl import WorkflowBuilder
 
-RAMP = (1, 10, 100, 1000)
+RAMP = (1, 10, 100, 1000, 10000)
 ORACLE_INSTANCES = 100
-SATURATION_GAIN = 1.10
+#: Non-dummy activities per instance of :func:`build_spec`.
+TASKS_PER_WORKFLOW = 3
+_COMPREHENSIONS = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"})
 
 
 def _max_instances() -> int:
@@ -91,6 +97,31 @@ def build_grid() -> SimulatedGrid:
     )
     grid.install("u1", "publish", FixedDurationTask(1.0, result="published"))
     return grid
+
+
+def count_calls(instances: int) -> int:
+    """Python calls into ``repro`` code while N instances run."""
+    spec = build_spec()
+    grid = build_grid()
+    host = EngineHost(grid, reactor=grid.reactor)
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if (
+            event == "call"
+            and frame.f_code.co_name not in _COMPREHENSIONS
+            and frame.f_globals.get("__name__", "").startswith("repro.")
+        ):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        host.submit_many(spec, instances)
+        host.wait_all(timeout=1e9)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def run_multiplexed(instances: int) -> dict:
@@ -168,19 +199,11 @@ def generate() -> dict:
     if not levels:
         levels = [cap]
     rows = []
-    saturation = None
-    prev_eps = None
     for n in levels:
         row = run_multiplexed(n)
         row.pop("results")
+        row["calls_per_task"] = count_calls(n) / (n * TASKS_PER_WORKFLOW)
         rows.append(row)
-        eps = row["events_per_sec"]
-        if prev_eps is not None and eps < prev_eps * SATURATION_GAIN:
-            saturation = n
-            break
-        prev_eps = eps
-    if saturation is None:
-        saturation = levels[len(rows) - 1]
 
     oracle_n = min(ORACLE_INSTANCES, cap)
     mux = run_multiplexed(oracle_n)
@@ -193,7 +216,6 @@ def generate() -> dict:
     )
     return {
         "levels": rows,
-        "saturation_instances": saturation,
         "determinism": {
             "instances": oracle_n,
             "mismatches": mismatches,
@@ -205,7 +227,7 @@ def generate() -> dict:
 def render(payload: dict) -> str:
     lines = [
         f"{'N':>6} {'events':>9} {'events/s':>12} {'wall/wf (ms)':>13} "
-        f"{'dispatch':>9} {'routes':>7} {'builds':>7}"
+        f"{'dispatch':>9} {'calls/task':>11} {'routes':>7} {'builds':>7}"
     ]
     for row in payload["levels"]:
         stats = row["bus_stats"]
@@ -214,9 +236,9 @@ def render(payload: dict) -> str:
             f"{row['events_per_sec']:>12.0f} "
             f"{row['wall_per_workflow'] * 1e3:>13.2f} "
             f"{row['dispatch_share']:>8.0%} "
+            f"{row['calls_per_task']:>11.1f} "
             f"{stats['cached_routes']:>7} {stats['route_builds']:>7}"
         )
-    lines.append(f"saturation at {payload['saturation_instances']} instances")
     det = payload["determinism"]
     lines.append(
         f"determinism oracle: {det['instances']} multiplexed instances "
@@ -237,6 +259,7 @@ def check_shape(payload: dict) -> None:
     )
     for row in payload["levels"]:
         assert 0.0 <= row["dispatch_share"] <= 1.0
+        assert row["calls_per_task"] > 0
         stats = row["bus_stats"]
         # Route-cached dispatch: matching passes happen once per distinct
         # topic per subscription change, never per publish.

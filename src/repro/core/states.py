@@ -64,6 +64,11 @@ LEGAL_TRANSITIONS: frozenset[tuple[TaskState, TaskState]] = frozenset(
 )
 
 
+#: Bound once: on Python 3.11 an enum member read through its class costs
+#: about ten times a global read, and a machine is built per attempt.
+_INACTIVE = TaskState.INACTIVE
+
+
 class TaskStateMachine:
     """Enforces the legal task-state transition relation for one attempt.
 
@@ -74,9 +79,11 @@ class TaskStateMachine:
     True
     """
 
+    __slots__ = ("name", "state", "trail")
+
     def __init__(self, name: str) -> None:
         self.name = name
-        self.state = TaskState.INACTIVE
+        self.state = _INACTIVE
         #: (from, to, timestamp) trail for diagnostics; timestamps are filled
         #: in by the caller via :meth:`transition`'s ``at`` argument.
         self.trail: list[tuple[TaskState, TaskState, float | None]] = []
@@ -91,7 +98,7 @@ class TaskStateMachine:
 
     def transition(self, to: TaskState, *, at: float | None = None) -> None:
         """Move to state *to*; raises :class:`DetectionError` if illegal."""
-        if not self.can_transition(to):
+        if (self.state, to) not in LEGAL_TRANSITIONS:
             raise DetectionError(
                 f"task {self.name!r}: illegal transition "
                 f"{self.state.value} -> {to.value}"

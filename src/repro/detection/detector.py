@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.exceptions import UserException
-from ..core.states import TaskState, TaskStateMachine
+from ..core.states import TERMINAL_STATES, TaskState, TaskStateMachine
 from ..errors import DetectionError
 from ..events import EventBus
 from ..reactor import Reactor
@@ -59,6 +59,14 @@ _TOPIC_FOR_STATE = {
     TaskState.FAILED: TASK_FAILED,
     TaskState.EXCEPTION: TASK_EXCEPTION,
 }
+
+# Enum members read on the per-task path, bound once: on Python 3.11 a
+# member read through its class costs about ten times a global read.
+_INACTIVE = TaskState.INACTIVE
+_ACTIVE = TaskState.ACTIVE
+_DONE = TaskState.DONE
+_FAILED = TaskState.FAILED
+_EXCEPTION = TaskState.EXCEPTION
 
 
 def scoped_topic(topic: str, workflow_id: str) -> str:
@@ -210,18 +218,21 @@ class FailureDetector:
         """
         if job_id in self._attempts:
             raise DetectionError(f"job {job_id!r} is already tracked")
-        self._attempts[job_id] = _Attempt(
+        attempt = _Attempt(
             job_id=job_id,
             activity=activity,
             hostname=hostname,
             machine=TaskStateMachine(activity),
             workflow_id=workflow_id,
-            trace_id=getattr(trace, "trace_id", "") or "",
-            span_id=getattr(trace, "span_id", "") or "",
-            parent_id=getattr(trace, "parent_id", "") or "",
         )
-        if self.monitor is not None:
-            self.monitor.watch(hostname)
+        if trace is not None:
+            attempt.trace_id = getattr(trace, "trace_id", "") or ""
+            attempt.span_id = getattr(trace, "span_id", "") or ""
+            attempt.parent_id = getattr(trace, "parent_id", "") or ""
+        self._attempts[job_id] = attempt
+        monitor = self.monitor
+        if monitor is not None and hostname not in monitor._hosts:
+            monitor.watch(hostname)
 
     def forget(self, job_id: str) -> None:
         """Stop tracking (used when cancelling sibling replicas)."""
@@ -234,46 +245,76 @@ class FailureDetector:
         if job_id not in self._attempts:
             self.track(job_id, activity, hostname)
         attempt = self._attempts[job_id]
-        self._finish(attempt, TaskState.FAILED, reason=reason)
+        self._finish(attempt, _FAILED, reason=reason, promote=False)
 
     # -- message input ---------------------------------------------------------
 
     def deliver(self, msg: Message) -> None:
         """Feed one message from the network / executor into the detector."""
-        if isinstance(msg, Heartbeat):
-            self.heartbeats_observed += 1
-            if self.monitor is not None:
-                if self.batch_heartbeats:
-                    self._pending_beats.append(msg)
-                    if not self._flush_scheduled:
-                        self._flush_scheduled = True
-                        self._reactor.call_soon(self._flush_beats)
-                else:
-                    self.monitor.observe(msg)
+        try:
+            handler, per_attempt = _HANDLERS[type(msg)]
+        except KeyError:
+            handler, per_attempt = _handler_for(type(msg))
+        if not per_attempt:
+            handler(self, msg)
             return
-        job_id = getattr(msg, "job_id", "")
-        attempt = self._attempts.get(job_id)
-        if attempt is None or attempt.machine.terminal:
+        attempt = self._attempts.get(getattr(msg, "job_id", ""))
+        if attempt is None or attempt.machine.state in TERMINAL_STATES:
             return  # late or unknown message: ignore (network is async)
         attempt.messages.append(msg)
-        if isinstance(msg, TaskStart):
-            if attempt.machine.state is TaskState.INACTIVE:
-                attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
-                self._publish(attempt, reason="task-start")
-        elif isinstance(msg, CheckpointNotice):
-            attempt.checkpoint_flag = msg.flag
-            attempt.checkpoint_progress = msg.progress
-        elif isinstance(msg, TaskEnd):
-            attempt.saw_task_end = True
-            attempt.result = msg.result
-        elif isinstance(msg, ExceptionNotice):
-            attempt.exception = msg.exception
-            self._ensure_active(attempt)
-            self._finish(attempt, TaskState.EXCEPTION, reason="exception-notice")
-        elif isinstance(msg, Done):
-            self._on_done(attempt, msg)
-        else:  # pragma: no cover - defensive
-            raise DetectionError(f"unhandled message type: {type(msg).__name__}")
+        handler(self, attempt, msg)
+
+    def _on_heartbeat(self, msg: Heartbeat) -> None:
+        self.heartbeats_observed += 1
+        if self.monitor is not None:
+            if self.batch_heartbeats:
+                self._pending_beats.append(msg)
+                if not self._flush_scheduled:
+                    self._flush_scheduled = True
+                    self._reactor.call_soon(self._flush_beats)
+            else:
+                self.monitor.observe(msg)
+
+    def _on_task_start(self, attempt: _Attempt, _msg: TaskStart) -> None:
+        if attempt.machine.state is not _INACTIVE:
+            return
+        now = self._reactor.now()
+        attempt.machine.transition(_ACTIVE, at=now)
+        topic = (
+            f"{TASK_ACTIVE}.{attempt.workflow_id}"
+            if attempt.workflow_id
+            else TASK_ACTIVE
+        )
+        if self._bus.wants(topic):
+            self._bus.publish(topic, self._outcome(attempt, "task-start", now))
+
+    def _on_checkpoint(self, attempt: _Attempt, msg: CheckpointNotice) -> None:
+        attempt.checkpoint_flag = msg.flag
+        attempt.checkpoint_progress = msg.progress
+
+    def _on_task_end(self, attempt: _Attempt, msg: TaskEnd) -> None:
+        attempt.saw_task_end = True
+        attempt.result = msg.result
+
+    def _on_exception(self, attempt: _Attempt, msg: ExceptionNotice) -> None:
+        attempt.exception = msg.exception
+        self._finish(attempt, _EXCEPTION, reason="exception-notice")
+
+    def _on_done(self, attempt: _Attempt, msg: Done) -> None:
+        if attempt.saw_task_end and msg.exit_code == 0 and not msg.host_crashed:
+            self._finish(attempt, _DONE, reason="done-with-taskend")
+        else:
+            reason = (
+                "host-crashed"
+                if msg.host_crashed
+                else "done-without-taskend"
+                if not attempt.saw_task_end
+                else f"nonzero-exit({msg.exit_code})"
+            )
+            self._finish(attempt, _FAILED, reason=reason)
+
+    def _on_unhandled(self, _attempt: _Attempt, msg: Message) -> None:
+        raise DetectionError(f"unhandled message type: {type(msg).__name__}")
 
     def _flush_beats(self) -> None:
         """Deliver the turn's buffered heartbeats to the monitor in one
@@ -285,39 +326,41 @@ class FailureDetector:
 
     # -- determination rules ---------------------------------------------------
 
-    def _on_done(self, attempt: _Attempt, msg: Done) -> None:
-        self._ensure_active(attempt)
-        if attempt.saw_task_end and msg.exit_code == 0 and not msg.host_crashed:
-            self._finish(attempt, TaskState.DONE, reason="done-with-taskend")
-        else:
-            reason = (
-                "host-crashed"
-                if msg.host_crashed
-                else "done-without-taskend"
-                if not attempt.saw_task_end
-                else f"nonzero-exit({msg.exit_code})"
-            )
-            self._finish(attempt, TaskState.FAILED, reason=reason)
-
     def _on_host_suspected(self, _topic: str, hostname: str) -> None:
         for attempt in list(self._attempts.values()):
-            if attempt.hostname == hostname and not attempt.machine.terminal:
-                self._ensure_active(attempt)
-                self._finish(attempt, TaskState.FAILED, reason="host-suspected")
+            if (
+                attempt.hostname == hostname
+                and attempt.machine.state not in TERMINAL_STATES
+            ):
+                self._finish(attempt, _FAILED, reason="host-suspected")
 
-    def _ensure_active(self, attempt: _Attempt) -> None:
-        """Some terminal signals can arrive before TaskStart (a task that
-        crashes immediately).  Promote to ACTIVE so the terminal transition
-        is legal."""
-        if attempt.machine.state is TaskState.INACTIVE:
-            attempt.machine.transition(TaskState.ACTIVE, at=self._reactor.now())
+    def _finish(
+        self,
+        attempt: _Attempt,
+        state: TaskState,
+        *,
+        reason: str,
+        promote: bool = True,
+    ) -> None:
+        """Move *attempt* to terminal *state* and publish its outcome.
 
-    def _finish(self, attempt: _Attempt, state: TaskState, *, reason: str) -> None:
-        attempt.machine.transition(state, at=self._reactor.now())
-        self._publish(attempt, reason=reason)
+        Some terminal signals can arrive before TaskStart (a task that
+        crashes immediately): with *promote* an INACTIVE attempt moves to
+        ACTIVE first so the terminal transition is legal.
+        """
+        machine = attempt.machine
+        now = self._reactor.now()
+        if promote and machine.state is _INACTIVE:
+            machine.transition(_ACTIVE, at=now)
+        machine.transition(state, at=now)
+        base = _TOPIC_FOR_STATE[state]
+        self._bus.publish(
+            f"{base}.{attempt.workflow_id}" if attempt.workflow_id else base,
+            self._outcome(attempt, reason, now),
+        )
 
-    def _publish(self, attempt: _Attempt, *, reason: str) -> None:
-        outcome = AttemptOutcome(
+    def _outcome(self, attempt: _Attempt, reason: str, at: float) -> AttemptOutcome:
+        return AttemptOutcome(
             job_id=attempt.job_id,
             activity=attempt.activity,
             state=attempt.machine.state,
@@ -326,17 +369,11 @@ class FailureDetector:
             checkpoint_flag=attempt.checkpoint_flag,
             result=attempt.result,
             reason=reason,
-            at=self._reactor.now(),
+            at=at,
             workflow_id=attempt.workflow_id,
             trace_id=attempt.trace_id,
             span_id=attempt.span_id,
             parent_id=attempt.parent_id,
-        )
-        self._bus.publish(
-            scoped_topic(
-                _TOPIC_FOR_STATE[attempt.machine.state], attempt.workflow_id
-            ),
-            outcome,
         )
 
     # -- queries ------------------------------------------------------------------
@@ -352,3 +389,30 @@ class FailureDetector:
     def checkpoint_flag(self, job_id: str) -> str | None:
         attempt = self._attempts.get(job_id)
         return attempt.checkpoint_flag if attempt else None
+
+
+#: Message type → (handler, whether it concerns a tracked attempt): one
+#: lookup per delivered message.  Attempt handlers get the attempt the
+#: message is about, already checked live and with the message logged.
+_HANDLERS = {
+    Heartbeat: (FailureDetector._on_heartbeat, False),
+    TaskStart: (FailureDetector._on_task_start, True),
+    CheckpointNotice: (FailureDetector._on_checkpoint, True),
+    TaskEnd: (FailureDetector._on_task_end, True),
+    ExceptionNotice: (FailureDetector._on_exception, True),
+    Done: (FailureDetector._on_done, True),
+}
+
+
+def _handler_for(kind: type) -> tuple:
+    """:data:`_HANDLERS` entry of a message type not listed there (a
+    subclass of a handled type resolves through its MRO), cached for the
+    next message."""
+    for base in kind.__mro__:
+        entry = _HANDLERS.get(base)
+        if entry is not None:
+            break
+    else:
+        entry = (FailureDetector._on_unhandled, True)
+    _HANDLERS[kind] = entry
+    return entry

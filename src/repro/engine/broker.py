@@ -75,11 +75,21 @@ class Broker:
     def resolve_index(
         self, activity: Activity, program: Program, index: int
     ) -> ResolvedOption:
-        if not 0 <= index < len(program.options):
+        options = program.options
+        if not 0 <= index < len(options):
             raise BrokerError(
                 f"option index {index} out of range for program {program.name!r}"
             )
-        return self._resolve(activity, program, index)
+        option = options[index]
+        if option.hostname == WILDCARD:
+            return self._resolve(activity, program, index)
+        return ResolvedOption(  # positional: once per submission
+            option.hostname,
+            option.service,
+            option.executable_dir,
+            option.executable or program.name,
+            index,
+        )
 
     def retry_index(
         self,

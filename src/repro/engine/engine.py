@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from ..ckpt.manager import CheckpointManager
 from ..core.exceptions import ExceptionBinding, ExceptionTable, UserException
@@ -81,6 +81,19 @@ ENGINE_NODE_LAUNCHED = "engine.node_launched"
 ENGINE_NODE_COMPLETED = "engine.node_completed"
 ENGINE_NODE_CANCELLED = "engine.node_cancelled"
 ENGINE_WORKFLOW_FINISHED = "engine.workflow_finished"
+
+#: Node status an activity's task-level resolution maps to.
+_NODE_STATUS = {
+    TaskState.DONE: NodeStatus.DONE,
+    TaskState.FAILED: NodeStatus.FAILED,
+    TaskState.EXCEPTION: NodeStatus.EXCEPTION,
+}
+
+# Enum members read on the per-task path, bound once: on Python 3.11 a
+# member read through its class costs about ten times a global read.
+_NODE_PENDING = NodeStatus.PENDING
+_NODE_RUNNING = NodeStatus.RUNNING
+_NODE_DONE = NodeStatus.DONE
 
 
 @dataclass(frozen=True)
@@ -193,14 +206,13 @@ class WorkflowEngine:
         self._loop_runners: dict[str, "_LoopRunner"] = {}
         # O(1) termination/deadlock accounting (a full instance scan per
         # task completion would make large workflows quadratic).
-        self._unresolved = sum(
-            1 for inst in self.instance.nodes.values() if not inst.status.terminal
-        )
-        self._running_count = sum(
-            1
-            for inst in self.instance.nodes.values()
-            if inst.status is NodeStatus.RUNNING
-        )
+        self._unresolved = self._running_count = 0
+        for inst in self.instance.nodes.values():
+            if inst.status is _NODE_RUNNING:
+                self._running_count += 1
+                self._unresolved += 1
+            elif inst.status is _NODE_PENDING:
+                self._unresolved += 1
         self._strategy_resolver = strategy_resolver
         # Causal trace bookkeeping: one root per workflow run, one child
         # context per launched node (handed to the coordinator so attempts
@@ -365,32 +377,38 @@ class WorkflowEngine:
 
     # -- navigation --------------------------------------------------------------------
 
-    def _advance(self, changed_targets: "list[str] | None") -> None:
+    def _advance(
+        self, changed_targets: "Sequence[str] | None", now: float | None = None
+    ) -> None:
         """One navigation round.
 
         *changed_targets* are the nodes whose incoming edges just resolved
         (the worklist for skip propagation and readiness); ``None`` means a
-        full scan — used at start and after checkpoint resume.
+        full scan — used at start and after checkpoint resume.  *now* is the
+        reactor time already read by the calling handler, if any.
         """
         if self._finished:
             return
         skipped = propagate_skips(self.instance, changed_targets)
-        self._unresolved -= len(skipped)
+        if skipped:
+            self._unresolved -= len(skipped)
         zombie_candidates: list[str] | None = (
             None if changed_targets is None else []
         )
+        feeders = self.instance.links.feeders
         if zombie_candidates is not None:
             for name in skipped:
-                zombie_candidates.extend(self._feeders_of(name))
+                zombie_candidates.extend(feeders[name])
         # Skipping fires no edges, but it resolves downstream edges dead —
         # readiness only comes from FIRED edges, so the original targets
         # plus nothing new suffice as ready candidates.
         for name in ready_nodes(self.instance, changed_targets):
-            self._launch(name)
+            self._launch(name, now)
             if zombie_candidates is not None:
-                zombie_candidates.extend(self._feeders_of(name))
-        for name in irrelevant_running_nodes(self.instance, zombie_candidates):
-            self._cancel_running(name)
+                zombie_candidates.extend(feeders[name])
+        if zombie_candidates is None or zombie_candidates:
+            for name in irrelevant_running_nodes(self.instance, zombie_candidates):
+                self._cancel_running(name)
         if self._unresolved == 0:
             self._finish()
             return
@@ -398,36 +416,53 @@ class WorkflowEngine:
             # Nothing running and nothing became ready: navigation is stuck.
             assert_no_deadlock(self.instance)
 
-    def _feeders_of(self, name: str) -> list[str]:
-        """Sources of *name*'s incoming edges (zombie-check candidates when
-        *name* stops being PENDING)."""
-        return [
-            self.instance.spec.transitions[i].source
-            for i in self.instance.incoming_indices(name)
-        ]
-
-    def _launch(self, name: str) -> None:
-        node_inst = self.instance.node(name)
-        node_inst.status = NodeStatus.RUNNING
+    def _launch(self, name: str, now: float | None = None) -> None:
+        runtime = self.runtime
+        node_inst = self.instance.nodes[name]
+        node_inst.status = _NODE_RUNNING
         self._running_count += 1
-        node_inst.started_at = self.runtime.reactor.now()
+        node_inst.started_at = runtime.reactor.now() if now is None else now
         node_ctx: TraceContext | None = None
-        if self.runtime.tracer is not None and self._trace_root is not None:
-            node_ctx = self.runtime.tracer.child(self._trace_root)
+        if runtime.tracer is not None and self._trace_root is not None:
+            node_ctx = runtime.tracer.child(self._trace_root)
             self._node_ctx[name] = node_ctx
-        self.runtime.bus.publish(
-            ENGINE_NODE_LAUNCHED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "at": node_inst.started_at,
-                },
-                node_ctx,
-            ),
+        if runtime.bus.wants(ENGINE_NODE_LAUNCHED):
+            runtime.bus.publish(
+                ENGINE_NODE_LAUNCHED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "at": node_inst.started_at,
+                    },
+                    node_ctx,
+                ),
+            )
+        activity = self.workflow.nodes[name]
+        if type(activity) is not Activity and self._launch_composite(name, activity):
+            return
+        if activity.implement is None:
+            # Dummy split/join tasks complete instantly, but via the reactor
+            # so navigation never recurses unboundedly through long chains.
+            runtime.reactor.call_soon(
+                lambda: self._complete_node(name, _NODE_DONE, result=None)
+            )
+            return
+        program = self.workflow.program_for(activity)
+        for parameter in activity.inputs:
+            if parameter.ref is not None:
+                activity = self._bind_inputs(activity)
+                break
+        self.coordinator.start_activity(
+            activity,
+            program,
+            restored_state=node_inst.recovery_state or None,
+            trace=self._node_ctx.get(name) if self._node_ctx else None,
         )
-        spec_node = self.workflow.node(name)
+
+    def _launch_composite(self, name: str, spec_node: Any) -> bool:
+        """Start a Loop or SubWorkflow node; ``False`` for an activity."""
         if isinstance(spec_node, SubWorkflow):
             # A sub-workflow is a run-once composite: reuse the loop runner
             # with a do-while condition that is false after one iteration.
@@ -442,23 +477,9 @@ class WorkflowEngine:
             runner = _LoopRunner(self, spec_node)
             self._loop_runners[name] = runner
             runner.start()
-            return
+            return True
         assert isinstance(spec_node, Activity)
-        if spec_node.dummy:
-            # Dummy split/join tasks complete instantly, but via the reactor
-            # so navigation never recurses unboundedly through long chains.
-            self.runtime.reactor.call_soon(
-                lambda: self._complete_node(name, NodeStatus.DONE, result=None)
-            )
-            return
-        program = self.workflow.program_for(spec_node)
-        restored = node_inst.recovery_state or None
-        self.coordinator.start_activity(
-            self._bind_inputs(spec_node),
-            program,
-            restored_state=restored,
-            trace=self._node_ctx.get(name),
-        )
+        return False
 
     def _bind_inputs(self, activity: Activity) -> Activity:
         """Resolve value-dependency inputs (``ref=``) against the current
@@ -495,18 +516,20 @@ class WorkflowEngine:
         self._unresolved -= 1
         node_inst = self.instance.node(name)
         node_inst.finished_at = self.runtime.reactor.now()
-        self.runtime.bus.publish(
-            ENGINE_NODE_CANCELLED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "at": node_inst.finished_at,
-                },
-                self._node_ctx.pop(name, None),
-            ),
-        )
+        node_ctx = self._node_ctx.pop(name, None)
+        if self.runtime.bus.wants(ENGINE_NODE_CANCELLED):
+            self.runtime.bus.publish(
+                ENGINE_NODE_CANCELLED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "at": node_inst.finished_at,
+                    },
+                    node_ctx,
+                ),
+            )
 
     # -- task resolution -------------------------------------------------------------------
 
@@ -514,16 +537,14 @@ class WorkflowEngine:
         name = resolution.activity
         if name not in self.instance.nodes:
             return  # a loop child's activity resolved through its own engine
-        status = {
-            TaskState.DONE: NodeStatus.DONE,
-            TaskState.FAILED: NodeStatus.FAILED,
-            TaskState.EXCEPTION: NodeStatus.EXCEPTION,
-        }[resolution.state]
+        exception = resolution.exception
+        if exception is not None:
+            exception = self._translate_exception(name, exception)
         self._complete_node(
             name,
-            status,
+            _NODE_STATUS[resolution.state],
             result=resolution.result,
-            exception=self._translate_exception(name, resolution.exception),
+            exception=exception,
             tries=resolution.tries_used,
         )
 
@@ -566,8 +587,9 @@ class WorkflowEngine:
     ) -> None:
         if self._finished:
             return
-        node_inst = self.instance.node(name)
-        if node_inst.status is not NodeStatus.RUNNING:
+        instance = self.instance
+        node_inst = instance.node(name)
+        if node_inst.status is not _NODE_RUNNING:
             return  # stale resolution (e.g. the node was cancelled)
         node_inst.status = status
         self._running_count -= 1
@@ -576,33 +598,33 @@ class WorkflowEngine:
         node_inst.exception = exception
         node_inst.tries_used = tries
         node_inst.iterations = iterations
-        node_inst.finished_at = self.runtime.reactor.now()
-        if status is NodeStatus.DONE:
+        node_inst.finished_at = now = self.runtime.reactor.now()
+        if status is _NODE_DONE:
             self._record_outputs(name, result)
-        self.runtime.bus.publish(
-            ENGINE_NODE_COMPLETED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "node": name,
-                    "status": status.value,
-                    "tries": tries,
-                    "exception": exception.name if exception else None,
-                    "at": node_inst.finished_at,
-                },
-                self._node_ctx.pop(name, None),
-            ),
-        )
-        fire_outgoing_edges(self.instance, name, status, exception)
-        self._checkpoint()
+        node_ctx = self._node_ctx.pop(name, None) if self._node_ctx else None
+        bus = self.runtime.bus
+        if bus.wants(ENGINE_NODE_COMPLETED):
+            bus.publish(
+                ENGINE_NODE_COMPLETED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "node": name,
+                        "status": status.value,
+                        "tries": tries,
+                        "exception": exception.name if exception else None,
+                        "at": node_inst.finished_at,
+                    },
+                    node_ctx,
+                ),
+            )
+        fire_outgoing_edges(instance, name, status, exception)
+        if self.checkpointer is not None:
+            self._checkpoint()
         # Every outgoing edge of this node just resolved (fired or dead):
         # its targets are the navigation worklist.
-        targets = [
-            self.instance.spec.transitions[i].target
-            for i in self.instance.outgoing_indices(name)
-        ]
-        self._advance(targets)
+        self._advance(instance.links.targets[name], now)
 
     def _record_outputs(self, name: str, result: Any) -> None:
         variables = self.instance.variables
@@ -675,18 +697,19 @@ class WorkflowEngine:
                 if inst.tries_used
             },
         )
-        self.runtime.bus.publish(
-            ENGINE_WORKFLOW_FINISHED,
-            stamp(
-                {
-                    "workflow": self.workflow.name,
-                    "workflow_id": self.workflow_id,
-                    "status": self.instance.status.value,
-                    "at": self.instance.finished_at,
-                },
-                self._trace_root,
-            ),
-        )
+        if self.runtime.bus.wants(ENGINE_WORKFLOW_FINISHED):
+            self.runtime.bus.publish(
+                ENGINE_WORKFLOW_FINISHED,
+                stamp(
+                    {
+                        "workflow": self.workflow.name,
+                        "workflow_id": self.workflow_id,
+                        "status": self.instance.status.value,
+                        "at": self.instance.finished_at,
+                    },
+                    self._trace_root,
+                ),
+            )
         if self._on_finished is not None:
             self._on_finished(self._result)
 
@@ -777,5 +800,5 @@ class _LoopRunner:
             self.parent.runtime.reactor.call_soon(self._iterate)
         else:
             self.parent._complete_loop(
-                self.loop.name, NodeStatus.DONE, self.iterations
+                self.loop.name, _NODE_DONE, self.iterations
             )

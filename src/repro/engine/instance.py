@@ -91,7 +91,16 @@ class WorkflowStatus(str, Enum):
         return self.value
 
 
-@dataclass
+# Enum members read on the per-task path, bound once: on Python 3.11 a
+# member read through its class costs about ten times a global read.
+_NODE_PENDING = NodeStatus.PENDING
+_NODE_RUNNING = NodeStatus.RUNNING
+_EDGE_PENDING = EdgeState.PENDING
+_EDGE_FIRED = EdgeState.FIRED
+_EDGE_DEAD_ERROR = EdgeState.DEAD_ERROR
+
+
+@dataclass(slots=True)
 class NodeInstance:
     """Runtime state of one node."""
 
@@ -110,6 +119,13 @@ class NodeInstance:
     #: Serialisable recovery-coordinator state (per-slot tries and
     #: checkpoint flags), owned by :class:`repro.engine.recovery`.
     recovery_state: dict[str, Any] = field(default_factory=dict)
+    #: Incoming edges resolved so far — FIRED, dead (benign or erroneous)
+    #: and DEAD_ERROR — maintained by :meth:`WorkflowInstance.set_edge`:
+    #: the navigator's join checks are O(1) instead of O(indegree), which
+    #: matters for wide fan-ins.  Runtime bookkeeping, not node state.
+    fired_in: int = field(default=0, compare=False, repr=False)
+    dead_in: int = field(default=0, compare=False, repr=False)
+    dead_error_in: int = field(default=0, compare=False, repr=False)
 
     def snapshot(self) -> dict[str, Any]:
         return {
@@ -156,35 +172,67 @@ class NodeInstance:
         )
 
 
+class NavigationLinks:
+    """A specification's adjacency, as navigation reads it, per node: the
+    indices of its outgoing edges (parallel to ``spec.transitions``), the
+    targets of those edges, and the sources of its incoming edges (one per
+    edge, so their count is the node's indegree).
+
+    Fixed per specification, so it is built when the specification is
+    first instantiated (:func:`navigation_links`) and shared by every
+    instance of it — the engine-reuse Monte-Carlo path instantiates one
+    specification thousands of times.  Read-only once built.
+    """
+
+    __slots__ = ("outgoing", "targets", "feeders")
+
+    def __init__(self, spec: Workflow) -> None:
+        outgoing: dict[str, list[int]] = {name: [] for name in spec.nodes}
+        targets: dict[str, list[str]] = {name: [] for name in spec.nodes}
+        feeders: dict[str, list[str]] = {name: [] for name in spec.nodes}
+        for i, t in enumerate(spec.transitions):
+            source, target = t.source, t.target
+            if source not in outgoing:  # unvalidated spec
+                outgoing[source], targets[source] = [], []
+            if target not in feeders:
+                feeders[target] = []
+            outgoing[source].append(i)
+            targets[source].append(target)
+            feeders[target].append(source)
+        # Tuples of strings and ints: the garbage collector stops tracking
+        # them, which matters for hosts that keep many instances alive.
+        self.outgoing = {name: tuple(v) for name, v in outgoing.items()}
+        self.targets = {name: tuple(v) for name, v in targets.items()}
+        self.feeders = {name: tuple(v) for name, v in feeders.items()}
+
+
+def navigation_links(spec: Workflow) -> NavigationLinks:
+    """*spec*'s :class:`NavigationLinks`, built on first use and kept on
+    the (immutable) specification object."""
+    links = getattr(spec, "_navigation_links", None)
+    if links is None:
+        links = NavigationLinks(spec)
+        object.__setattr__(spec, "_navigation_links", links)
+    return links
+
+
 class WorkflowInstance:
     """One execution of a workflow specification."""
 
     def __init__(self, spec: Workflow) -> None:
         self.spec = spec
         self.nodes: dict[str, NodeInstance] = {
-            name: NodeInstance(name=name) for name in spec.nodes
+            name: NodeInstance(name) for name in spec.nodes
         }
         #: Edge states, indexed parallel to ``spec.transitions``.
-        self.edges: list[EdgeState] = [EdgeState.PENDING] * len(spec.transitions)
+        self.edges: list[EdgeState] = [_EDGE_PENDING] * len(spec.transitions)
         self.variables: dict[str, Any] = dict(spec.variables)
         self.status = WorkflowStatus.RUNNING
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        # Adjacency caches: navigation touches these on every advance, and
-        # rescanning the transition list per query would make large
-        # workflows quadratic.
-        self._incoming: dict[str, list[int]] = {name: [] for name in spec.nodes}
-        self._outgoing: dict[str, list[int]] = {name: [] for name in spec.nodes}
-        for i, t in enumerate(spec.transitions):
-            self._incoming.setdefault(t.target, []).append(i)
-            self._outgoing.setdefault(t.source, []).append(i)
-        # Per-node resolved-edge counters, maintained by set_edge: the
-        # navigator's join checks become O(1) instead of O(indegree),
-        # which matters for wide fan-ins (every branch completion would
-        # otherwise rescan the join's whole edge list).
-        self._fired_in: dict[str, int] = {name: 0 for name in spec.nodes}
-        self._dead_in: dict[str, int] = {name: 0 for name in spec.nodes}
-        self._dead_error_in: dict[str, int] = {name: 0 for name in spec.nodes}
+        # Adjacency is per specification: rescanning the transition list
+        # per query would make large workflows quadratic.
+        self.links = navigation_links(spec)
 
     # -- node access -----------------------------------------------------------
 
@@ -199,72 +247,77 @@ class WorkflowInstance:
     # -- edge access --------------------------------------------------------------
 
     def incoming_states(self, name: str) -> list[EdgeState]:
-        return [self.edges[i] for i in self._incoming.get(name, ())]
+        return [self.edges[i] for i in self.incoming_indices(name)]
 
     def outgoing_indices(self, name: str) -> list[int]:
-        return list(self._outgoing.get(name, ()))
+        return list(self.links.outgoing.get(name, ()))
 
     def incoming_indices(self, name: str) -> list[int]:
-        return list(self._incoming.get(name, ()))
+        return [i for i, t in enumerate(self.spec.transitions) if t.target == name]
 
     def set_edge(self, index: int, state: EdgeState) -> None:
         previous = self.edges[index]
-        if previous.resolved and previous is not state:
+        if previous is not _EDGE_PENDING and previous is not state:
             raise NavigationError(
                 f"edge {index} already resolved to {previous}, "
                 f"cannot set {state}"
             )
         self.edges[index] = state
-        if previous is EdgeState.PENDING and state is not EdgeState.PENDING:
-            target = self.spec.transitions[index].target
-            if state is EdgeState.FIRED:
-                self._fired_in[target] += 1
+        if previous is _EDGE_PENDING and state is not _EDGE_PENDING:
+            target = self.nodes[self.spec.transitions[index].target]
+            if state is _EDGE_FIRED:
+                target.fired_in += 1
             else:
-                self._dead_in[target] += 1
-                if state is EdgeState.DEAD_ERROR:
-                    self._dead_error_in[target] += 1
+                target.dead_in += 1
+                if state is _EDGE_DEAD_ERROR:
+                    target.dead_error_in += 1
 
-    # -- O(1) join accounting (used by the navigator) -----------------------
+    # -- O(1) join accounting (the navigator reads the fields directly) ------
 
     def indegree(self, name: str) -> int:
-        return len(self._incoming.get(name, ()))
+        return len(self.links.feeders.get(name, ()))
 
     def fired_in(self, name: str) -> int:
         """Incoming edges resolved FIRED so far."""
-        return self._fired_in.get(name, 0)
+        node = self.nodes.get(name)
+        return node.fired_in if node is not None else 0
 
     def dead_in(self, name: str) -> int:
         """Incoming edges resolved dead (benign or erroneous) so far."""
-        return self._dead_in.get(name, 0)
+        node = self.nodes.get(name)
+        return node.dead_in if node is not None else 0
 
     def dead_error_in(self, name: str) -> int:
         """Incoming edges resolved DEAD_ERROR so far."""
-        return self._dead_error_in.get(name, 0)
+        node = self.nodes.get(name)
+        return node.dead_error_in if node is not None else 0
 
     def _recount_edges(self) -> None:
         """Rebuild the counters from the edge list (after restore)."""
-        for counters in (self._fired_in, self._dead_in, self._dead_error_in):
-            for name in counters:
-                counters[name] = 0
+        for node in self.nodes.values():
+            node.fired_in = node.dead_in = node.dead_error_in = 0
         for i, state in enumerate(self.edges):
-            if state is EdgeState.PENDING:
+            if state is _EDGE_PENDING:
                 continue
-            target = self.spec.transitions[i].target
-            if state is EdgeState.FIRED:
-                self._fired_in[target] += 1
+            target = self.nodes[self.spec.transitions[i].target]
+            if state is _EDGE_FIRED:
+                target.fired_in += 1
             else:
-                self._dead_in[target] += 1
-                if state is EdgeState.DEAD_ERROR:
-                    self._dead_error_in[target] += 1
+                target.dead_in += 1
+                if state is _EDGE_DEAD_ERROR:
+                    target.dead_error_in += 1
 
     # -- summary queries ---------------------------------------------------------------
 
     def running_nodes(self) -> list[str]:
-        return [n for n, inst in self.nodes.items() if inst.status is NodeStatus.RUNNING]
+        return [n for n, inst in self.nodes.items() if inst.status is _NODE_RUNNING]
 
     def terminal(self) -> bool:
         """All nodes resolved (the navigator guarantees no deadlock)."""
-        return all(inst.status.terminal for inst in self.nodes.values())
+        for inst in self.nodes.values():
+            if inst.status is _NODE_PENDING or inst.status is _NODE_RUNNING:
+                return False
+        return True
 
     def failed_tasks(self) -> tuple[str, ...]:
         return tuple(

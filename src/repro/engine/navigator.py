@@ -25,11 +25,19 @@ Semantics implemented here (see the module docs of
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from ..core.exceptions import UserException
 from ..errors import NavigationError
 from ..wpdl.conditions import evaluate_condition
 from ..wpdl.model import ConditionKind, JoinMode
-from .instance import EdgeState, NodeStatus, WorkflowInstance, WorkflowStatus
+from .instance import (
+    EdgeState,
+    NodeInstance,
+    NodeStatus,
+    WorkflowInstance,
+    WorkflowStatus,
+)
 
 __all__ = [
     "ready_nodes",
@@ -42,10 +50,31 @@ __all__ = [
     "exception_edge_specificity",
 ]
 
+# Enum members read on the per-task path, bound once: on Python 3.11 a
+# member read through its class costs about ten times a global read.
+_NODE_PENDING = NodeStatus.PENDING
+_NODE_RUNNING = NodeStatus.RUNNING
+_NODE_DONE = NodeStatus.DONE
+_NODE_FAILED = NodeStatus.FAILED
+_NODE_SKIPPED_OK = NodeStatus.SKIPPED_OK
+_NODE_SKIPPED_ERROR = NodeStatus.SKIPPED_ERROR
+_NODE_EXCEPTION = NodeStatus.EXCEPTION
+_NODE_CANCELLED = NodeStatus.CANCELLED
+_EDGE_PENDING = EdgeState.PENDING
+_EDGE_FIRED = EdgeState.FIRED
+_EDGE_DEAD_OK = EdgeState.DEAD_OK
+_EDGE_DEAD_ERROR = EdgeState.DEAD_ERROR
+_AND = JoinMode.AND
+_COND_DONE = ConditionKind.DONE
+_COND_ALWAYS = ConditionKind.ALWAYS
+_COND_EXPR = ConditionKind.EXPR
+_COND_FAILED = ConditionKind.FAILED
+_COND_EXCEPTION = ConditionKind.EXCEPTION
+
 
 def ready_nodes(
     instance: WorkflowInstance,
-    candidates: "list[str] | None" = None,
+    candidates: "Iterable[str] | None" = None,
 ) -> list[str]:
     """PENDING nodes whose join condition is now satisfied, in spec order.
 
@@ -53,26 +82,24 @@ def ready_nodes(
     of freshly fired edges can become ready); ``None`` scans every node.
     Duplicates in *candidates* are tolerated; output has no duplicates.
     """
-    names = instance.spec.nodes.keys() if candidates is None else candidates
+    nodes = instance.nodes
+    specs = instance.spec.nodes
+    feeders = instance.links.feeders
+    names = specs if candidates is None else dict.fromkeys(candidates)
     ready: list[str] = []
-    seen: set[str] = set()
     for name in names:
-        if name in seen:
+        if nodes[name].status is not _NODE_PENDING:
             continue
-        seen.add(name)
-        if instance.node(name).status is not NodeStatus.PENDING:
-            continue
-        indegree = instance.indegree(name)
+        indegree = len(feeders[name])
         if indegree == 0:
             ready.append(name)  # entry node
             continue
-        join = instance.spec.nodes[name].join
-        if join is JoinMode.AND:
-            if instance.fired_in(name) == indegree:
+        fired = nodes[name].fired_in
+        if specs[name].join is _AND:
+            if fired == indegree:
                 ready.append(name)
-        else:  # OR
-            if instance.fired_in(name) >= 1:
-                ready.append(name)
+        elif fired >= 1:  # OR
+            ready.append(name)
     return ready
 
 
@@ -101,46 +128,47 @@ def fire_outgoing_edges(
     Returns the indices of edges that FIRED.  Must be called exactly once
     per node, when it reaches a terminal status.
     """
-    indices = instance.outgoing_indices(name)
+    indices = instance.links.outgoing.get(name, ())
     fired: list[int] = []
 
-    if status in (NodeStatus.SKIPPED_OK, NodeStatus.SKIPPED_ERROR):
+    if status in (_NODE_SKIPPED_OK, _NODE_SKIPPED_ERROR):
         dead = (
-            EdgeState.DEAD_OK
-            if status is NodeStatus.SKIPPED_OK
-            else EdgeState.DEAD_ERROR
+            _EDGE_DEAD_OK
+            if status is _NODE_SKIPPED_OK
+            else _EDGE_DEAD_ERROR
         )
         for i in indices:
             instance.set_edge(i, dead)
         return fired
 
-    if status is NodeStatus.DONE:
+    transitions = instance.spec.transitions
+    if status is _NODE_DONE:
         for i in indices:
-            cond = instance.spec.transitions[i].condition
-            if cond.kind in (ConditionKind.DONE, ConditionKind.ALWAYS):
-                instance.set_edge(i, EdgeState.FIRED)
+            cond = transitions[i].condition
+            if cond.kind is _COND_DONE or cond.kind is _COND_ALWAYS:
+                instance.set_edge(i, _EDGE_FIRED)
                 fired.append(i)
-            elif cond.kind is ConditionKind.EXPR:
+            elif cond.kind is _COND_EXPR:
                 if evaluate_condition(cond.expr, instance.variables):
-                    instance.set_edge(i, EdgeState.FIRED)
+                    instance.set_edge(i, _EDGE_FIRED)
                     fired.append(i)
                 else:
-                    instance.set_edge(i, EdgeState.DEAD_OK)
+                    instance.set_edge(i, _EDGE_DEAD_OK)
             else:  # FAILED / EXCEPTION edges are moot on success
-                instance.set_edge(i, EdgeState.DEAD_OK)
+                instance.set_edge(i, _EDGE_DEAD_OK)
         return fired
 
-    if status is NodeStatus.FAILED:
+    if status is _NODE_FAILED:
         for i in indices:
-            cond = instance.spec.transitions[i].condition
-            if cond.kind in (ConditionKind.FAILED, ConditionKind.ALWAYS):
-                instance.set_edge(i, EdgeState.FIRED)
+            cond = transitions[i].condition
+            if cond.kind is _COND_FAILED or cond.kind is _COND_ALWAYS:
+                instance.set_edge(i, _EDGE_FIRED)
                 fired.append(i)
             else:
-                instance.set_edge(i, EdgeState.DEAD_ERROR)
+                instance.set_edge(i, _EDGE_DEAD_ERROR)
         return fired
 
-    if status is NodeStatus.EXCEPTION:
+    if status is _NODE_EXCEPTION:
         if exception is None:
             raise NavigationError(
                 f"node {name!r} ended in EXCEPTION without an exception object"
@@ -149,7 +177,7 @@ def fire_outgoing_edges(
             i
             for i in indices
             if instance.spec.transitions[i].condition.kind
-            is ConditionKind.EXCEPTION
+            is _COND_EXCEPTION
             and _pattern_matches(
                 instance.spec.transitions[i].condition.exception, exception.name
             )
@@ -172,18 +200,18 @@ def fire_outgoing_edges(
             }
         for i in indices:
             cond = instance.spec.transitions[i].condition
-            if i in chosen or cond.kind is ConditionKind.ALWAYS:
-                instance.set_edge(i, EdgeState.FIRED)
+            if i in chosen or cond.kind is _COND_ALWAYS:
+                instance.set_edge(i, _EDGE_FIRED)
                 fired.append(i)
-            elif cond.kind is ConditionKind.FAILED and not matching:
+            elif cond.kind is _COND_FAILED and not matching:
                 # Generic catch-all: an unmatched exception behaves like an
                 # unmasked failure, so the alternative task still runs.
-                instance.set_edge(i, EdgeState.FIRED)
+                instance.set_edge(i, _EDGE_FIRED)
                 fired.append(i)
-            elif cond.kind is ConditionKind.EXCEPTION and i in matching:
-                instance.set_edge(i, EdgeState.DEAD_OK)  # out-specialised
+            elif cond.kind is _COND_EXCEPTION and i in matching:
+                instance.set_edge(i, _EDGE_DEAD_OK)  # out-specialised
             else:
-                instance.set_edge(i, EdgeState.DEAD_ERROR)
+                instance.set_edge(i, _EDGE_DEAD_ERROR)
         return fired
 
     raise NavigationError(
@@ -201,7 +229,7 @@ def _pattern_matches(pattern: str, name: str) -> bool:
 
 def propagate_skips(
     instance: WorkflowInstance,
-    seeds: "list[str] | None" = None,
+    seeds: "Sequence[str] | None" = None,
 ) -> list[str]:
     """Skip every PENDING node that can no longer activate; iterate to a
     fixpoint.  Returns the names of nodes skipped by this call.
@@ -211,45 +239,60 @@ def propagate_skips(
     node enqueues its own edge targets, so the fixpoint is complete either
     way.  ``None`` seeds the frontier with every node.
     """
+    nodes = instance.nodes
+    names = instance.spec.nodes.keys() if seeds is None else seeds
+    # Nothing is skipped unless a seed is skippable now (only a skip
+    # enqueues more nodes), so the common case is one pass over the seeds.
+    for name in names:
+        if _unreachable(instance, name, nodes[name]):
+            break
+    else:
+        return []
+
     from collections import deque
 
     skipped: list[str] = []
-    frontier = deque(instance.spec.nodes.keys() if seeds is None else seeds)
+    frontier = deque(names)
     queued = set(frontier)
+    targets = instance.links.targets
     while frontier:
         name = frontier.popleft()
         queued.discard(name)
-        inst = instance.node(name)
-        if inst.status is not NodeStatus.PENDING:
+        inst = nodes[name]
+        if not _unreachable(instance, name, inst):
             continue
-        indegree = instance.indegree(name)
-        if indegree == 0:
-            continue  # entry nodes never skip
-        join = instance.spec.nodes[name].join
-        if join is JoinMode.AND:
-            unreachable = instance.dead_in(name) >= 1
-        else:
-            unreachable = instance.dead_in(name) == indegree
-        if not unreachable:
-            continue
-        erroneous = instance.dead_error_in(name) >= 1
         new_status = (
-            NodeStatus.SKIPPED_ERROR if erroneous else NodeStatus.SKIPPED_OK
+            _NODE_SKIPPED_ERROR
+            if inst.dead_error_in >= 1
+            else _NODE_SKIPPED_OK
         )
         inst.status = new_status
         fire_outgoing_edges(instance, name, new_status)
         skipped.append(name)
-        for i in instance.outgoing_indices(name):
-            target = instance.spec.transitions[i].target
+        for target in targets.get(name, ()):
             if target not in queued:
                 queued.add(target)
                 frontier.append(target)
     return skipped
 
 
+def _unreachable(instance: WorkflowInstance, name: str, inst: NodeInstance) -> bool:
+    """Whether PENDING node *name* can no longer activate: an AND join
+    with a dead incoming edge, or an OR join with every incoming edge dead
+    (entry nodes never are)."""
+    if inst.status is not _NODE_PENDING:
+        return False
+    indegree = len(instance.links.feeders[name])
+    if indegree == 0:
+        return False  # entry nodes never skip
+    if instance.spec.nodes[name].join is _AND:
+        return inst.dead_in >= 1
+    return inst.dead_in == indegree
+
+
 def irrelevant_running_nodes(
     instance: WorkflowInstance,
-    candidates: "list[str] | None" = None,
+    candidates: "Iterable[str] | None" = None,
 ) -> list[str]:
     """RUNNING nodes whose completion can no longer influence navigation.
 
@@ -268,28 +311,24 @@ def irrelevant_running_nodes(
     feeding into a node whose status just changed can newly become
     zombies); ``None`` scans every node.
     """
-    names = (
-        instance.nodes.keys() if candidates is None else candidates
-    )
+    nodes = instance.nodes
+    edges = instance.edges
+    links = instance.links
+    names = nodes if candidates is None else dict.fromkeys(candidates)
     zombies: list[str] = []
-    seen: set[str] = set()
     for name in names:
-        if name in seen:
+        if nodes[name].status is not _NODE_RUNNING:
             continue
-        seen.add(name)
-        inst = instance.node(name)
-        if inst.status is not NodeStatus.RUNNING:
-            continue
-        indices = instance.outgoing_indices(name)
+        indices = links.outgoing.get(name, ())
         if not indices:
             continue
-        relevant = any(
-            instance.edges[i] is EdgeState.PENDING
-            and instance.node(instance.spec.transitions[i].target).status
-            is NodeStatus.PENDING
-            for i in indices
-        )
-        if not relevant:
+        for i, target in zip(indices, links.targets[name]):
+            if (
+                edges[i] is _EDGE_PENDING
+                and nodes[target].status is _NODE_PENDING
+            ):
+                break  # still relevant
+        else:
             zombies.append(name)
     return zombies
 
@@ -298,14 +337,14 @@ def cancel_node(instance: WorkflowInstance, name: str) -> None:
     """Mark a running node CANCELLED and deaden its unresolved edges
     benignly (nothing downstream was waiting on them)."""
     inst = instance.node(name)
-    if inst.status is not NodeStatus.RUNNING:
+    if inst.status is not _NODE_RUNNING:
         raise NavigationError(
             f"cannot cancel node {name!r} in status {inst.status}"
         )
-    inst.status = NodeStatus.CANCELLED
+    inst.status = _NODE_CANCELLED
     for i in instance.outgoing_indices(name):
-        if instance.edges[i] is EdgeState.PENDING:
-            instance.set_edge(i, EdgeState.DEAD_OK)
+        if instance.edges[i] is _EDGE_PENDING:
+            instance.set_edge(i, _EDGE_DEAD_OK)
 
 
 def evaluate_outcome(instance: WorkflowInstance) -> WorkflowStatus:
@@ -315,14 +354,18 @@ def evaluate_outcome(instance: WorkflowInstance) -> WorkflowStatus:
     """
     if not instance.terminal():
         return WorkflowStatus.RUNNING
-    exits = instance.spec.exit_nodes()
-    if not exits:  # validated workflows always have exits; defensive
-        return WorkflowStatus.FAILED
-    ok = all(
-        instance.node(name).status in (NodeStatus.DONE, NodeStatus.SKIPPED_OK)
-        for name in exits
-    ) and any(instance.node(name).status is NodeStatus.DONE for name in exits)
-    return WorkflowStatus.DONE if ok else WorkflowStatus.FAILED
+    outgoing = instance.links.outgoing
+    exits = done = False
+    for name, inst in instance.nodes.items():
+        if outgoing[name]:
+            continue  # not an exit node
+        exits = True
+        if inst.status is _NODE_DONE:
+            done = True
+        elif inst.status is not _NODE_SKIPPED_OK:
+            return WorkflowStatus.FAILED
+    # Validated workflows always have exits; no exit at all is a failure.
+    return WorkflowStatus.DONE if exits and done else WorkflowStatus.FAILED
 
 
 def assert_no_deadlock(instance: WorkflowInstance) -> None:

@@ -58,12 +58,20 @@ __all__ = [
 
 #: Bus topics narrating strategy dispatch (payloads are plain dicts, like
 #: the ``engine.*`` topics, so observers need no recovery imports).  Only
-#: published when the coordinator is constructed with a bus.
+#: published when the coordinator is constructed with a bus, and only
+#: built when the bus :meth:`~repro.events.EventBus.wants` them.
 RECOVERY_RETRY = "recovery.retry"
 RECOVERY_EXHAUSTED = "recovery.exhausted"
 RECOVERY_CHECKPOINT_RESTART = "recovery.checkpoint_restart"
 RECOVERY_REPLICATION_WIN = "recovery.replication_win"
 RECOVERY_RESOLVED = "recovery.resolved"
+
+# Enum members read on the per-task path, bound once: on Python 3.11 a
+# member read through its class costs about ten times a global read.
+_ACTIVE = TaskState.ACTIVE
+_DONE = TaskState.DONE
+_FAILED = TaskState.FAILED
+_EXCEPTION = TaskState.EXCEPTION
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,15 @@ class TaskResolution:
     tries_used: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Slot:
     """One retry loop: a resource option position for the activity."""
 
     index: int
     option_index: int
+    #: CheckpointManager key of this slot's latest flag (scoped by
+    #: workflow instance, activity and slot index).
+    flag_key: str = ""
     tries_used: int = 0
     active_job: str | None = None
     exhausted: bool = False
@@ -101,7 +112,7 @@ class _Slot:
     next_parent: TraceContext | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivityRun:
     """Coordinator state for one in-flight activity."""
 
@@ -153,6 +164,10 @@ class RecoveryCoordinator:
         self._resolve_strategy = (
             strategy_resolver if strategy_resolver is not None else resolve_strategy
         )
+        #: The last policy resolved and its strategy: the activities of one
+        #: workflow usually share a policy object.
+        self._policy: FailurePolicy | None = None
+        self._strategy: RecoveryStrategy | None = None
         #: Owning workflow instance in a multiplexed host ("" otherwise).
         #: Scopes checkpoint-flag keys, submissions and detector tracking,
         #: so instances sharing a runtime (and its CheckpointManager /
@@ -189,16 +204,19 @@ class RecoveryCoordinator:
             raise RecoveryError(f"activity {activity.name!r} is already running")
         if trace is None and self._tracer is not None:
             trace = self._tracer.root(self.workflow_id or activity.name)
-        strategy = self._resolve_strategy(activity.policy)
-        run = ActivityRun(
-            activity=activity, program=program, strategy=strategy, trace=trace
-        )
-        run.slots = [
-            _Slot(index=i, option_index=plan.option_index)
+        policy = activity.policy
+        if policy is not self._policy:
+            self._strategy = self._resolve_strategy(policy)
+            self._policy = policy
+        strategy = self._strategy
+        key = f"{self._flag_scope}{activity.name}@slot"
+        slots = [
+            _Slot(i, plan.option_index, f"{key}{i}")
             for i, plan in enumerate(
                 strategy.plan_slots(activity, program, self._broker)
             )
         ]
+        run = ActivityRun(activity, program, strategy, slots, trace=trace)
         if restored_state:
             self._restore_slots(run, restored_state)
         self._runs[activity.name] = run
@@ -216,7 +234,7 @@ class RecoveryCoordinator:
             slot.exhausted = bool(slot_state.get("exhausted", False))
             flag = slot_state.get("flag")
             if flag:
-                self.checkpoints.record(self._flag_key(run, slot), flag)
+                self.checkpoints.record(slot.flag_key, flag)
             # A slot mid-retry when the engine died has budget accounting
             # already done; re-check exhaustion against the policy.
             if run.activity.policy.tries_remaining(slot.tries_used) <= 0:
@@ -234,7 +252,7 @@ class RecoveryCoordinator:
                     "tries": slot.tries_used,
                     "exhausted": slot.exhausted,
                     "option": slot.option_index,
-                    "flag": self.checkpoints.flag_for(self._flag_key(run, slot)),
+                    "flag": self.checkpoints.flag_for(slot.flag_key),
                 }
                 for slot in run.slots
             ]
@@ -256,7 +274,7 @@ class RecoveryCoordinator:
         if slot.active_job != outcome.job_id:
             return  # stale message from a superseded attempt
 
-        if outcome.state is TaskState.ACTIVE:
+        if outcome.state is _ACTIVE:
             return  # informational
 
         self._job_index.pop(outcome.job_id, None)
@@ -270,22 +288,22 @@ class RecoveryCoordinator:
         # name the attempt whose saved state it resumes from.
         if outcome.checkpoint_flag:
             self.checkpoints.record(
-                self._flag_key(run, slot),
+                slot.flag_key,
                 outcome.checkpoint_flag,
                 at=self._reactor.now(),
                 source_span=outcome.span_id,
             )
 
-        if outcome.state is TaskState.DONE:
+        if outcome.state is _DONE:
             self._resolve_done(run, outcome)
-        elif outcome.state is TaskState.EXCEPTION:
+        elif outcome.state is _EXCEPTION:
             if run.activity.policy.retry_on_exception:
                 # Deliberately mask the task-specific failure like a generic
                 # crash (the configuration Figure 13 shows to be costly).
                 self._handle_crash(run, slot, exception=outcome.exception)
             else:
                 self._resolve_exception(run, outcome)
-        elif outcome.state is TaskState.FAILED:
+        elif outcome.state is _FAILED:
             self._handle_crash(run, slot)
         else:  # pragma: no cover - defensive
             raise RecoveryError(f"unexpected outcome state {outcome.state}")
@@ -341,24 +359,19 @@ class RecoveryCoordinator:
 
     # -- internals ---------------------------------------------------------------------------
 
-    def _flag_key(self, run: ActivityRun, slot: _Slot) -> str:
-        return f"{self._flag_scope}{run.activity.name}@slot{slot.index}"
-
     def _publish(self, topic: str, detail: dict[str, Any]) -> None:
-        if self._bus is not None:
-            detail["at"] = self._reactor.now()
-            if self.workflow_id:
-                detail["workflow_id"] = self.workflow_id
-            self._bus.publish(topic, detail)
+        detail["at"] = self._reactor.now()
+        if self.workflow_id:
+            detail["workflow_id"] = self.workflow_id
+        self._bus.publish(topic, detail)
 
     def _submit(self, run: ActivityRun, slot: _Slot) -> None:
         slot.retry_timer = None
+        activity = run.activity
         target: ResolvedOption = self._broker.resolve_index(
-            run.activity, run.program, slot.option_index
+            activity, run.program, slot.option_index
         )
-        flag = run.strategy.submit_flag(
-            run.activity, self.checkpoints, self._flag_key(run, slot)
-        )
+        flag = run.strategy.submit_flag(activity, self.checkpoints, slot.flag_key)
         # Causal chain: the attempt's parent is the recovery decision that
         # spawned it (a retry, or the checkpoint-restart minted just below);
         # the very first attempt of a slot descends from the activity root.
@@ -369,29 +382,30 @@ class RecoveryCoordinator:
             if self._tracer is not None and parent is not None:
                 restart_ctx = self._tracer.child(parent)
                 parent = restart_ctx
-            self._publish(
-                RECOVERY_CHECKPOINT_RESTART,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "slot": slot.index,
-                        "flag": flag,
-                        "flag_source": self.checkpoints.source_span_of(
-                            self._flag_key(run, slot)
-                        ),
-                    },
-                    restart_ctx,
-                ),
-            )
+            if self._bus is not None and self._bus.wants(RECOVERY_CHECKPOINT_RESTART):
+                self._publish(
+                    RECOVERY_CHECKPOINT_RESTART,
+                    stamp(
+                        {
+                            "activity": activity.name,
+                            "slot": slot.index,
+                            "flag": flag,
+                            "flag_source": self.checkpoints.source_span_of(
+                                slot.flag_key
+                            ),
+                        },
+                        restart_ctx,
+                    ),
+                )
         if self._tracer is not None and parent is not None:
             slot.attempt_trace = self._tracer.child(parent)
         request = SubmitRequest(
-            activity=run.activity.name,
+            activity=activity.name,
             executable=target.executable,
             hostname=target.hostname,
             service=target.service,
             directory=target.directory,
-            arguments={p.name: p.value for p in run.activity.inputs},
+            arguments={p.name: p.value for p in activity.inputs},
             checkpoint_flag=flag,
             workflow_id=self.workflow_id,
         )
@@ -399,15 +413,15 @@ class RecoveryCoordinator:
         slot.last_host = target.hostname
         job_id = self._service.submit(request)
         slot.active_job = job_id
-        self._job_index[job_id] = (run.activity.name, slot.index)
+        self._job_index[job_id] = (activity.name, slot.index)
         self._detector.track(
             job_id,
-            run.activity.name,
+            activity.name,
             target.hostname,
             workflow_id=self.workflow_id,
             trace=slot.attempt_trace,
         )
-        timeout = run.activity.policy.attempt_timeout
+        timeout = activity.policy.attempt_timeout
         if timeout is not None:
             slot.timeout_timer = self._reactor.call_later(
                 timeout, lambda: self._attempt_timed_out(run, slot, job_id)
@@ -434,20 +448,21 @@ class RecoveryCoordinator:
                 # attempt will descend from the decision.
                 decision_ctx = self._tracer.child(slot.attempt_trace)
                 slot.next_parent = decision_ctx
-            self._publish(
-                RECOVERY_RETRY,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "slot": slot.index,
-                        "option": decision.option_index,
-                        "delay": decision.delay,
-                        "tries": slot.tries_used,
-                        "host": slot.last_host,
-                    },
-                    decision_ctx,
-                ),
-            )
+            if self._bus is not None and self._bus.wants(RECOVERY_RETRY):
+                self._publish(
+                    RECOVERY_RETRY,
+                    stamp(
+                        {
+                            "activity": run.activity.name,
+                            "slot": slot.index,
+                            "option": decision.option_index,
+                            "delay": decision.delay,
+                            "tries": slot.tries_used,
+                            "host": slot.last_host,
+                        },
+                        decision_ctx,
+                    ),
+                )
             if decision.delay > 0:
                 slot.retry_timer = self._reactor.call_later(
                     decision.delay, lambda: self._retry_fire(run, slot)
@@ -459,18 +474,19 @@ class RecoveryCoordinator:
         exhausted_ctx = None
         if self._tracer is not None and slot.attempt_trace is not None:
             exhausted_ctx = self._tracer.child(slot.attempt_trace)
-        self._publish(
-            RECOVERY_EXHAUSTED,
-            stamp(
-                {
-                    "activity": run.activity.name,
-                    "slot": slot.index,
-                    "tries": slot.tries_used,
-                    "host": slot.last_host,
-                },
-                exhausted_ctx,
-            ),
-        )
+        if self._bus is not None and self._bus.wants(RECOVERY_EXHAUSTED):
+            self._publish(
+                RECOVERY_EXHAUSTED,
+                stamp(
+                    {
+                        "activity": run.activity.name,
+                        "slot": slot.index,
+                        "tries": slot.tries_used,
+                        "host": slot.last_host,
+                    },
+                    exhausted_ctx,
+                ),
+            )
         if all(s.exhausted for s in run.slots):
             if exception is not None:
                 # A masked-but-unmaskable exception: report it as what it
@@ -481,7 +497,7 @@ class RecoveryCoordinator:
                     run,
                     TaskResolution(
                         activity=run.activity.name,
-                        state=TaskState.EXCEPTION,
+                        state=_EXCEPTION,
                         exception=exception,
                         tries_used=run.total_tries,
                     ),
@@ -525,7 +541,8 @@ class RecoveryCoordinator:
 
     def _resolve_done(self, run: ActivityRun, outcome: AttemptOutcome) -> None:
         run.resolved = True
-        if len(run.slots) > 1:
+        replicated = len(run.slots) > 1
+        if replicated:
             win_ctx = None
             if self._tracer is not None and outcome.span_id:
                 # Parent is the winning attempt, reconstructed from the
@@ -535,27 +552,28 @@ class RecoveryCoordinator:
                         trace_id=outcome.trace_id, span_id=outcome.span_id
                     )
                 )
-            self._publish(
-                RECOVERY_REPLICATION_WIN,
-                stamp(
-                    {
-                        "activity": run.activity.name,
-                        "host": outcome.hostname,
-                        "slots": len(run.slots),
-                    },
-                    win_ctx,
-                ),
-            )
-        self._cancel_slots(run)
+            if self._bus is not None and self._bus.wants(RECOVERY_REPLICATION_WIN):
+                self._publish(
+                    RECOVERY_REPLICATION_WIN,
+                    stamp(
+                        {
+                            "activity": run.activity.name,
+                            "host": outcome.hostname,
+                            "slots": len(run.slots),
+                        },
+                        win_ctx,
+                    ),
+                )
+        if replicated:
+            # A lone slot has nothing left to cancel: its attempt just
+            # ended and a pending retry timer implies no active attempt.
+            self._cancel_slots(run)
         for slot in run.slots:
-            self.checkpoints.clear(self._flag_key(run, slot))
+            self.checkpoints.clear(slot.flag_key)
         self._finish(
             run,
             TaskResolution(
-                activity=run.activity.name,
-                state=TaskState.DONE,
-                result=outcome.result,
-                tries_used=run.total_tries,
+                run.activity.name, _DONE, outcome.result, tries_used=run.total_tries
             ),
         )
 
@@ -566,7 +584,7 @@ class RecoveryCoordinator:
             run,
             TaskResolution(
                 activity=run.activity.name,
-                state=TaskState.EXCEPTION,
+                state=_EXCEPTION,
                 exception=outcome.exception,
                 tries_used=run.total_tries,
             ),
@@ -579,7 +597,7 @@ class RecoveryCoordinator:
             run,
             TaskResolution(
                 activity=run.activity.name,
-                state=TaskState.FAILED,
+                state=_FAILED,
                 tries_used=run.total_tries,
             ),
         )
@@ -589,17 +607,18 @@ class RecoveryCoordinator:
         resolved_ctx = None
         if self._tracer is not None and run.trace is not None:
             resolved_ctx = self._tracer.child(run.trace)
-        self._publish(
-            RECOVERY_RESOLVED,
-            stamp(
-                {
-                    "activity": resolution.activity,
-                    "state": resolution.state.value,
-                    "tries": resolution.tries_used,
-                },
-                resolved_ctx,
-            ),
-        )
+        if self._bus is not None and self._bus.wants(RECOVERY_RESOLVED):
+            self._publish(
+                RECOVERY_RESOLVED,
+                stamp(
+                    {
+                        "activity": resolution.activity,
+                        "state": resolution.state.value,
+                        "tries": resolution.tries_used,
+                    },
+                    resolved_ctx,
+                ),
+            )
         self._on_resolution(resolution)
 
     # -- queries ----------------------------------------------------------------------------

@@ -25,12 +25,22 @@ pattern list per event.  Patterns are classified once at subscription time —
   ``"task."`` and matches with ``str.startswith``);
 * anything else (rare)        → anchored regex, compiled once —
 
-and every published topic's matching handler groups are interned in a
-per-topic **route cache**: the first publish on a topic resolves its route
-(exact dict + matching pattern entries); subsequent publishes are a single
-dict lookup.  Routes hold references to the live handler dicts, so
-subscriber churn on existing patterns never invalidates them; only the
-appearance or pruning of a pattern/topic does.
+and, while at least one pattern is subscribed, every published topic's
+matching handler groups are interned in a per-topic **route cache**: the
+first publish on a topic resolves its route (exact dict + matching
+pattern entries); subsequent publishes are a single dict lookup.  Routes
+hold references to the live handler dicts, so subscriber churn on existing
+patterns never invalidates them; only the appearance or pruning of a
+pattern/topic does.  With no pattern subscribed the exact-topic dict *is*
+the route, and nothing is cached: a long-lived host publishing one topic
+per workflow instance (``task.active.wf-N``) would otherwise intern a dead
+route for every instance it ever ran.
+
+Publishers whose payload costs something to build ask :meth:`EventBus.wants`
+first.  It is true iff a publish on the topic would reach a tap, the
+history or a handler, so a payload skipped because it is false is one no
+one would have seen; publishes that do happen are delivered in the same
+order either way.
 """
 
 from __future__ import annotations
@@ -160,10 +170,11 @@ class EventBus:
             if handlers is None:
                 self._exact[pattern] = {token: handler}
                 # Only the identical topic can be affected.
-                self._routes.pop(pattern, None)
+                if self._routes:
+                    self._routes.pop(pattern, None)
             else:
                 handlers[token] = handler
-        return Subscription(pattern=pattern, handler=handler, token=token)
+        return Subscription(pattern, handler, token)
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Remove a previously registered subscription.  Idempotent.
@@ -191,7 +202,8 @@ class EventBus:
             handlers.pop(sub.token, None)
             if not handlers:
                 del self._exact[sub.pattern]
-                self._routes.pop(sub.pattern, None)
+                if self._routes:
+                    self._routes.pop(sub.pattern, None)
 
     def add_tap(self, handler: Handler) -> None:
         """Register *handler* to observe every publish (see ``_taps``).
@@ -226,6 +238,30 @@ class EventBus:
         self._routes[topic] = route
         return route
 
+    def _route(self, topic: str) -> tuple[dict[int, Handler], ...]:
+        """The handler groups matching *topic* while patterns exist."""
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._build_route(topic)
+        return route
+
+    def wants(self, topic: str) -> bool:
+        """Whether a publish on *topic* would reach a tap, the history or
+        a handler.
+
+        Publishers guard payloads that cost something to build with this,
+        building them only when someone will see them; skipping a publish
+        this returns false for changes nothing any tap, history or
+        subscriber observes.
+        """
+        if self._taps or self._history is not None or topic in self._exact:
+            return True
+        if self._patterns:
+            for handlers in self._route(topic):
+                if handlers:
+                    return True
+        return False
+
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish *payload* on *topic*; returns number of handlers invoked."""
         if self._history is not None:
@@ -237,11 +273,17 @@ class EventBus:
         if taps:
             for tap in taps:
                 tap(topic, payload)
-        route = self._routes.get(topic)
-        if route is None:
-            route = self._build_route(topic)
+        if not self._patterns:
+            handlers = self._exact.get(topic)
+            if handlers is None:
+                return 0
+            delivered = 0
+            for handler in list(handlers.values()):
+                handler(topic, payload)
+                delivered += 1
+            return delivered
         delivered = 0
-        for handlers in route:
+        for handlers in self._route(topic):
             # A group may be empty between its last unsubscribe and the
             # prune/invalidation (exact dicts are pruned eagerly; pattern
             # dicts referenced by this route may have just drained).

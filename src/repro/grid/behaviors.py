@@ -105,9 +105,11 @@ class TaskBehavior(ABC):
             raise ValueError("a plan must begin with a 'start' step")
         if steps[-1].action not in {"end", "crash", "exception"}:
             raise ValueError("a plan must end with a terminal step")
-        offsets = [s.offset for s in steps]
-        if offsets != sorted(offsets):
-            raise ValueError("plan offsets must be nondecreasing")
+        previous = steps[0].offset
+        for step in steps:
+            if step.offset < previous:
+                raise ValueError("plan offsets must be nondecreasing")
+            previous = step.offset
         return steps
 
 

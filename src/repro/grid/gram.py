@@ -26,15 +26,19 @@ from typing import Any
 from ..ckpt.store import CheckpointStore
 from ..core.exceptions import UserException
 from ..detection.messages import CheckpointNotice, Done, ExceptionNotice, TaskEnd, TaskStart
-from ..errors import CheckpointError, GridError, UnknownExecutableError
+from ..errors import CheckpointError, GridError
 from ..execution import SubmitRequest
 from .behaviors import PlanContext, Step
-from .host import Host
+from .host import Host, HostState
 from .network import Network
 from .random import RandomStreams
 from .simkernel import EventHandle, SimKernel
 
 __all__ = ["GramConfig", "GramService", "JobProcess"]
+
+# Bound once: on Python 3.11 an enum member read through its class costs
+# about ten times a global read.
+_UP = HostState.UP
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class GramConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Service-side record of one submission (for queries and stats)."""
 
@@ -62,13 +66,32 @@ class JobRecord:
     status: str = "submitted"  # submitted|queued|running|finished|cancelled
 
 
-class JobProcess:
+class JobProcess(JobRecord):
     """One attempt executing on a host: schedules the behaviour's steps.
 
-    The process emits messages *from the host*, so they are subject to the
-    network's partitions and latency.  Terminal steps clean the process off
-    the host; a host crash aborts all pending steps.
+    The process is also the attempt's :class:`JobRecord` (one object per
+    submission).  It emits messages *from the host*, so they are subject
+    to the network's partitions and latency.  Terminal steps clean the
+    process off the host; a host crash aborts all pending steps.
+
+    Steps come from the behaviour's plan in nondecreasing offset order and
+    are all scheduled at :meth:`begin`, so they fire in plan order: each
+    timer runs the step under ``_cursor``, and the handles before the
+    cursor are exactly the timers that already fired.
     """
+
+    __slots__ = (
+        "service",
+        "host",
+        "hostname",
+        "_steps",
+        "_handles",
+        "_cursor",
+        "_finished",
+    )
+    # A live process is an object with an identity, not a value.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(
         self,
@@ -78,47 +101,62 @@ class JobProcess:
         host: Host,
         attempt: int,
     ) -> None:
-        self.service = service
         self.job_id = job_id
         self.request = request
-        self.host = host
         self.attempt = attempt
+        self.status = "submitted"
+        self.service = service
+        self.host = host
+        self.hostname = host.hostname
+        self._steps: list[Step] = []
         self._handles: list[EventHandle] = []
+        self._cursor = 0
         self._finished = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def begin(self) -> None:
         """Plan the behaviour and schedule its steps (host is UP)."""
-        record = self.service.job(self.job_id)
-        if record is not None and record.status in {"submitted", "queued"}:
-            record.status = "running"
-        kernel = self.service.kernel
-        behavior = self.host.resolve(self.request.executable)
+        if self.status == "submitted" or self.status == "queued":
+            self.status = "running"
+        service = self.service
+        host = self.host
+        request = self.request
+        try:
+            behavior = host.software[request.executable]
+        except KeyError:
+            behavior = host.resolve(request.executable)  # raises
         checkpoint_state: dict[str, Any] | None = None
-        if self.request.checkpoint_flag:
+        if request.checkpoint_flag:
             try:
-                checkpoint_state = self.service.store.load(self.request.checkpoint_flag)
+                checkpoint_state = service.store.load(request.checkpoint_flag)
             except CheckpointError:
                 checkpoint_state = None  # lost checkpoint: cold start
+        # Records on the per-attempt path are built from positional
+        # arguments: binding keywords is about a third of their cost.
         ctx = PlanContext(
-            activity=self.request.activity,
-            job_id=self.job_id,
-            host=self.host.spec,
-            attempt=self.attempt,
-            streams=self.service.streams,
-            checkpoint_state=checkpoint_state,
+            request.activity,
+            self.job_id,
+            host.spec,
+            self.attempt,
+            service.streams,
+            checkpoint_state,
         )
-        for step in behavior.plan(ctx):
-            scaled = step.offset / self.host.spec.speed
-            self._handles.append(
-                kernel.schedule(scaled, lambda s=step: self._execute(s))
-            )
+        self._steps = steps = behavior.plan(ctx)
+        schedule = service.kernel.schedule
+        speed = host.spec.speed
+        fire = self._fire
+        self._handles = [schedule(step.offset / speed, fire) for step in steps]
 
     def abort(self) -> None:
         """Silently stop (cancellation): no further messages."""
         self._finished = True
-        for handle in self._handles:
+        self._cancel_pending()
+        self._steps = self._handles = ()  # the status stays "cancelled"
+
+    def _cancel_pending(self) -> None:
+        """Cancel the timers of the steps that have not fired yet."""
+        for handle in self._handles[self._cursor :]:
             handle.cancel()
 
     def host_crashed(self) -> None:
@@ -138,14 +176,13 @@ class JobProcess:
         if self._finished:
             return
         self._finished = True
-        for handle in self._handles:
-            handle.cancel()
+        self._cancel_pending()
         if self.service.config.crash_detection == "prompt":
             self.service.network.send_system(
                 Done(
                     sent_at=self.service.kernel.now(),
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=self.hostname,
                     exit_code=137,
                     host_crashed=True,
                 )
@@ -169,70 +206,76 @@ class JobProcess:
                 )
 
             self.host.on_recover(report_orphan)
-        self.service._job_finished(self.job_id, "finished")
+        self._ended()
 
     # -- step execution ----------------------------------------------------------
 
-    def _execute(self, step: Step) -> None:
+    def _fire(self) -> None:
+        """Run the next step of the plan (see the class docstring)."""
+        step = self._steps[self._cursor]
+        self._cursor += 1
         if self._finished:
             return
-        now = self.service.kernel.now()
-        send = lambda msg: self.service.network.send(self.host.hostname, msg)  # noqa: E731
-        if step.action == "start":
-            send(TaskStart(sent_at=now, job_id=self.job_id, hostname=self.host.hostname))
-        elif step.action == "checkpoint":
+        service = self.service
+        now = service.kernel._now
+        action = step.action
+        if action == "start":
+            service.network.send(
+                self.hostname,
+                TaskStart(now, self.job_id, self.hostname),
+            )
+        elif action == "end":
+            service.network.send(
+                self.hostname,
+                TaskEnd(now, self.job_id, self.hostname, step.payload.get("result")),
+            )
+            self._terminate(exit_code=0, now=now)
+        elif action == "checkpoint":
             flag = f"{self.request.activity}#{self.job_id}@{step.offset:g}"
-            self.service.store.save(flag, dict(step.payload.get("state", {})))
-            send(
+            service.store.save(flag, dict(step.payload.get("state", {})))
+            service.network.send(
+                self.hostname,
                 CheckpointNotice(
                     sent_at=now,
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=self.hostname,
                     flag=flag,
                     progress=float(step.payload.get("progress", 0.0)),
-                )
+                ),
             )
-        elif step.action == "exception":
+        elif action == "exception":
             exc = step.payload.get("exception")
             if not isinstance(exc, UserException):  # pragma: no cover - defensive
                 exc = UserException("unknown")
-            send(
+            service.network.send(
+                self.hostname,
                 ExceptionNotice(
                     sent_at=now,
                     job_id=self.job_id,
-                    hostname=self.host.hostname,
+                    hostname=self.hostname,
                     exception=exc,
-                )
+                ),
             )
-            self._terminate(exit_code=1)
-        elif step.action == "crash":
-            self._terminate(exit_code=139)
-        elif step.action == "end":
-            send(
-                TaskEnd(
-                    sent_at=now,
-                    job_id=self.job_id,
-                    hostname=self.host.hostname,
-                    result=step.payload.get("result"),
-                )
-            )
-            self._terminate(exit_code=0)
+            self._terminate(exit_code=1, now=now)
+        elif action == "crash":
+            self._terminate(exit_code=139, now=now)
 
-    def _terminate(self, *, exit_code: int) -> None:
+    def _terminate(self, *, exit_code: int, now: float) -> None:
         self._finished = True
-        for handle in self._handles:
-            handle.cancel()
+        self._cancel_pending()
         self.host.job_finished(self.job_id)
         self.service.network.send(
-            self.host.hostname,
-            Done(
-                sent_at=self.service.kernel.now(),
-                job_id=self.job_id,
-                hostname=self.host.hostname,
-                exit_code=exit_code,
-            ),
+            self.hostname,
+            Done(now, self.job_id, self.hostname, exit_code),
         )
-        self.service._job_finished(self.job_id, "finished")
+        self._ended()
+
+    def _ended(self) -> None:
+        """The process is gone: record it finished (a cancellation stays
+        recorded as such) and drop the plan and timer handles."""
+        if self.status != "cancelled":
+            self.status = "finished"
+        self._steps = self._handles = ()
 
 
 class GramService:
@@ -253,8 +296,9 @@ class GramService:
         self.streams = streams
         self.store = store
         self.config = config or GramConfig()
+        #: Every submission's record; the live ones (status submitted,
+        #: queued or running) are the :class:`JobProcess` executing them.
         self._jobs: dict[str, JobRecord] = {}
-        self._processes: dict[str, JobProcess] = {}
         # Keyed by (workflow_id, activity): concurrent workflow instances
         # running the same specification must not share attempt sequences
         # (a deterministic crash-on-attempt-1 behaviour would otherwise
@@ -266,7 +310,6 @@ class GramService:
         """Forget all submissions and restart job-id numbering, as if
         freshly constructed over the same hosts/network/store."""
         self._jobs.clear()
-        self._processes.clear()
         self._attempt_counters.clear()
         self._seq = itertools.count(1)
 
@@ -286,25 +329,22 @@ class GramService:
         attempt_key = (request.workflow_id, request.activity)
         attempt = self._attempt_counters.get(attempt_key, 0) + 1
         self._attempt_counters[attempt_key] = attempt
-        record = JobRecord(job_id=job_id, request=request, attempt=attempt)
-        self._jobs[job_id] = record
-        try:
-            host.resolve(request.executable)
-        except UnknownExecutableError:
-            record.status = "finished"
+        if request.executable not in host.software:
+            self._jobs[job_id] = JobRecord(
+                job_id=job_id, request=request, attempt=attempt, status="finished"
+            )
             self._reject(job_id, request, exit_code=127)
             return job_id
         process = JobProcess(self, job_id, request, host, attempt)
-        self._processes[job_id] = process
-        if host.up:
-            record.status = "running"
+        self._jobs[job_id] = process
+        if host.state is _UP:
+            process.status = "running"
             host.start_job(process)
         elif request.queue_when_down:
-            record.status = "queued"
+            process.status = "queued"
             host.queue_job(process)
         else:
-            record.status = "finished"
-            self._processes.pop(job_id, None)
+            process.status = "finished"
             self._reject(job_id, request, exit_code=75)  # EX_TEMPFAIL
         return job_id
 
@@ -323,22 +363,12 @@ class GramService:
 
     def cancel(self, job_id: str) -> None:
         """Silently stop a job (no Done is emitted).  Idempotent."""
-        record = self._jobs.get(job_id)
-        if record is None or record.status in {"finished", "cancelled"}:
+        process = self._jobs.get(job_id)
+        if process is None or process.status in {"finished", "cancelled"}:
             return
-        record.status = "cancelled"
-        process = self._processes.pop(job_id, None)
-        if process is not None:
-            process.host.cancel_job(job_id)
-            process.abort()
-
-    # -- internal -------------------------------------------------------------------
-
-    def _job_finished(self, job_id: str, status: str) -> None:
-        record = self._jobs.get(job_id)
-        if record is not None and record.status != "cancelled":
-            record.status = status
-        self._processes.pop(job_id, None)
+        process.status = "cancelled"
+        process.host.cancel_job(job_id)
+        process.abort()
 
     # -- queries ---------------------------------------------------------------------
 

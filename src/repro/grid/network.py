@@ -105,24 +105,39 @@ class Network:
     def send(self, hostname: str, msg: Message) -> None:
         """Send *msg* from *hostname* to the client, subject to partition,
         loss and latency."""
-        self.stats.sent += 1
+        stats = self.stats
+        stats.sent += 1
         if hostname in self._partitioned:
-            self.stats.dropped_partition += 1
+            stats.dropped_partition += 1
             return
         if self.loss_probability > 0.0 and self._streams.bernoulli(
             "network.loss", self.loss_probability
         ):
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             return
         delay = self.latency
         if self.jitter > 0.0:
             delay += float(self._streams.get("network.jitter").uniform(0, self.jitter))
         # FIFO per host: never deliver before an earlier message from the
         # same host (TCP-stream semantics).
-        arrival = self._kernel.now() + delay
-        arrival = max(arrival, self._last_delivery.get(hostname, 0.0))
+        kernel = self._kernel
+        now = kernel._now
+        arrival = now + delay
+        last = self._last_delivery.get(hostname, 0.0)
+        if last > arrival:
+            arrival = last
         self._last_delivery[hostname] = arrival
-        self._kernel.schedule(arrival - self._kernel.now(), lambda: self._deliver(msg))
+
+        def deliver() -> None:
+            # _deliver's body, inlined: one call per message delivered.
+            sink = self._sink
+            if sink is None:
+                self.stats.dropped_no_sink += 1
+                return
+            self.stats.delivered += 1
+            sink(msg)
+
+        kernel.schedule(arrival - now, deliver)
 
     def send_system(self, msg: Message) -> None:
         """Deliver a client-local synthesised message immediately (next

@@ -81,6 +81,8 @@ class SimulatedGrid(ExecutionService):
             self.store,
             GramConfig(crash_detection=self.config.crash_detection),
         )
+        # Submission is GRAM's: bind it directly so a submit is one call.
+        self.submit = self.gram.submit
 
     # -- reuse ------------------------------------------------------------------
 

@@ -17,7 +17,12 @@ cannot drift apart:
 
 Owners that pop entries inline (the simulation kernel's drain loops) must
 call :meth:`TimerHeap.note_popped_cancelled` whenever they pop an entry
-whose callback is ``None``, keeping the cancellation counter honest.
+whose callback is ``None``, keeping the cancellation counter honest, and
+must store :data:`FIRED` in the callback slot of every entry they pop to
+run: a handle cancelled after its timer fired is then a no-op, not a
+cancellation (it would otherwise inflate ``cancelled_total`` and trigger
+compactions of a heap that holds nothing cancelled).  Owners may also push
+inline (``[when, heap.seq, callback]``, then ``heap.seq += 1``).
 """
 
 from __future__ import annotations
@@ -25,10 +30,23 @@ from __future__ import annotations
 import heapq
 from typing import Callable
 
-__all__ = ["TimerHeap", "WHEN", "SEQ", "CALLBACK", "COMPACT_MIN_CANCELLED"]
+__all__ = [
+    "TimerHeap",
+    "WHEN",
+    "SEQ",
+    "CALLBACK",
+    "FIRED",
+    "COMPACT_MIN_CANCELLED",
+]
 
-# Heap-entry slots: [when, seq, callback]; callback is None once cancelled.
+# Heap-entry slots: [when, seq, callback]; callback is None once cancelled
+# and FIRED once popped to run.
 WHEN, SEQ, CALLBACK = 0, 1, 2
+
+#: Callback-slot marker of an entry that has been popped to run.  Popped
+#: entries are out of the heap, so only :meth:`TimerHeap.cancel` and the
+#: handles' ``cancelled`` properties ever see it.
+FIRED = object()
 
 #: Compact the heap when at least this many entries are cancelled *and* they
 #: outnumber the live ones (amortises the rebuild over many cancellations).
@@ -43,13 +61,14 @@ class TimerHeap:
     mutates the heap list.
     """
 
-    __slots__ = ("heap", "_seq", "_cancelled", "compactions", "cancelled_total")
+    __slots__ = ("heap", "seq", "_cancelled", "compactions", "cancelled_total")
 
     def __init__(self) -> None:
         #: The underlying heap list.  Owners may read it directly for hot
         #: drain loops; mutation goes through the methods below.
         self.heap: list[list] = []
-        self._seq = 0
+        #: Sequence number of the next pushed entry (FIFO tie-breaking).
+        self.seq = 0
         self._cancelled = 0
         #: Monotonic observability counters: compaction passes performed
         #: and total cancellations ever recorded.  Unlike ``_cancelled``
@@ -66,16 +85,18 @@ class TimerHeap:
 
     def push(self, when: float, callback: Callable[[], None]) -> list:
         """Queue *callback* at absolute time *when*; returns the entry."""
-        entry = [when, self._seq, callback]
-        self._seq += 1
+        entry = [when, self.seq, callback]
+        self.seq += 1
         heapq.heappush(self.heap, entry)
         return entry
 
     # -- cancellation ------------------------------------------------------
 
     def cancel(self, entry: list) -> None:
-        """Cancel *entry*'s callback.  Idempotent; may compact the heap."""
-        if entry[CALLBACK] is not None:
+        """Cancel *entry*'s callback.  Idempotent, and a no-op once the
+        entry has fired; may compact the heap."""
+        callback = entry[CALLBACK]
+        if callback is not None and callback is not FIRED:
             entry[CALLBACK] = None
             self.note_cancelled()
 
@@ -108,7 +129,7 @@ class TimerHeap:
     @property
     def scheduled_total(self) -> int:
         """Total entries ever pushed (the sequence counter)."""
-        return self._seq
+        return self.seq
 
     def live_count(self) -> int:
         """Number of queued, non-cancelled entries."""
@@ -125,11 +146,15 @@ class TimerHeap:
             return heap[0]
         return None
 
-    def pop_due(self, now: float) -> list | None:
-        """Remove and return the next live entry with ``when <= now``."""
+    def pop_due(self, now: float) -> Callable[[], None] | None:
+        """Remove the next live entry with ``when <= now``, mark it
+        :data:`FIRED` and return its callback (``None`` if nothing is due)."""
         head = self.peek_live()
         if head is not None and head[WHEN] <= now:
-            return heapq.heappop(self.heap)
+            heapq.heappop(self.heap)
+            callback = head[CALLBACK]
+            head[CALLBACK] = FIRED
+            return callback
         return None
 
     # -- lifecycle ---------------------------------------------------------
@@ -138,7 +163,7 @@ class TimerHeap:
         """Forget every entry and restart the sequence counter (so a reused
         heap reproduces a fresh one's FIFO tie-breaking exactly)."""
         self.heap.clear()
-        self._seq = 0
+        self.seq = 0
         self._cancelled = 0
         self.compactions = 0
         self.cancelled_total = 0

@@ -276,3 +276,81 @@ class TestHistory:
         bus.publish("a", 1)
         bus.enable_history()
         assert len(bus.history) == 1
+
+
+class TestWants:
+    """``wants(topic)`` is true iff a publish on the topic would reach a
+    tap, the history or a handler."""
+
+    def test_idle_bus_wants_nothing(self):
+        assert not EventBus().wants("engine.node_launched")
+
+    def test_exact_subscriber(self):
+        bus = EventBus()
+        sub = bus.subscribe("engine.node_launched", lambda t, p: None)
+        assert bus.wants("engine.node_launched")
+        assert not bus.wants("engine.node_completed")
+        bus.unsubscribe(sub)
+        assert not bus.wants("engine.node_launched")
+
+    def test_pattern_subscriber(self):
+        bus = EventBus()
+        sub = bus.subscribe("recovery.*", lambda t, p: None)
+        assert bus.wants("recovery.retry")
+        assert not bus.wants("task.active.wf-1")
+        bus.unsubscribe(sub)
+        assert not bus.wants("recovery.retry")
+
+    def test_drained_pattern_group_is_not_a_listener(self):
+        bus = EventBus()
+        keep = bus.subscribe("task.*", lambda t, p: None)
+        bus.publish("task.done", None)  # caches a route holding the group
+        bus.subscribe("engine.*", lambda t, p: None)
+        bus.unsubscribe(keep)
+        assert not bus.wants("task.done")
+
+    def test_tap_and_history_want_everything(self):
+        tapped = EventBus()
+        tapped.add_tap(lambda t, p: None)
+        assert tapped.wants("anything")
+        recorded = EventBus()
+        recorded.enable_history()
+        assert recorded.wants("anything")
+
+    def test_wants_agrees_with_delivery(self):
+        bus = EventBus()
+        bus.subscribe("a.b", lambda t, p: None)
+        bus.subscribe("c.*", lambda t, p: None)
+        bus.subscribe("*.z", lambda t, p: None)
+        for topic in ("a.b", "a.c", "c.d", "q.z", "q.y", "a.b.c"):
+            assert bus.wants(topic) == (bus.publish(topic) > 0), topic
+
+
+class TestExactOnlyRouting:
+    """With no pattern subscribed, publish goes straight to the exact-topic
+    dict and the route cache stays empty, however many distinct topics a
+    long-lived bus publishes."""
+
+    def test_distinct_topics_cache_nothing(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("task.done.wf-3", lambda t, p: seen.append(p))
+        for i in range(1000):
+            bus.publish(f"task.active.wf-{i}", i)
+        bus.publish("task.done.wf-3", "x")
+        assert seen == ["x"]
+        stats = bus.stats()
+        assert stats["cached_routes"] == 0
+        assert stats["route_builds"] == 0
+
+    def test_first_pattern_switches_to_routes(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe("task.done", lambda t, p: seen.append("exact"))
+        bus.publish("task.done", None)
+        sub = bus.subscribe("task.*", lambda t, p: seen.append("pattern"))
+        bus.publish("task.done", None)
+        bus.unsubscribe(sub)
+        bus.publish("task.done", None)
+        assert seen == ["exact", "exact", "pattern", "exact"]
+        assert bus.stats()["cached_routes"] == 0

@@ -65,6 +65,17 @@ class TestHeapCompaction:
             handle.cancel()
         rt.run_until_idle(timeout=0.5)  # returns promptly: nothing live
 
+    def test_cancel_after_fire_counts_nothing(self, rt):
+        fired = []
+        handles = [rt.call_later(0.0, lambda: fired.append(1)) for _ in range(100)]
+        rt.run_until_idle(timeout=1.0)
+        for handle in handles:
+            handle.cancel()
+        assert len(fired) == 100
+        assert rt._timers.cancelled_total == 0
+        assert rt._timers.compactions == 0
+        assert rt._timers._cancelled == 0
+
     def test_cancelled_timers_do_not_fire(self, rt):
         fired = []
         handles = [

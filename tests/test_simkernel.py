@@ -85,8 +85,11 @@ class TestCompaction:
     # pile up the heap is compacted in place.  These tests pin both the
     # trigger and that compaction never changes observable behaviour.
 
+    # Delays are positive throughout: an event due the instant it is
+    # scheduled queues outside the heap (see TestSameInstantEvents).
+
     def test_mass_cancellation_shrinks_the_heap(self, kernel):
-        handles = [kernel.schedule(float(i), lambda: None) for i in range(200)]
+        handles = [kernel.schedule(float(i + 1), lambda: None) for i in range(200)]
         for h in handles[50:]:
             h.cancel()
         # Compaction triggers once cancellations clear the 64-entry floor
@@ -112,7 +115,7 @@ class TestCompaction:
     def test_below_threshold_cancels_still_never_fire(self, kernel):
         fired = []
         handles = [
-            kernel.schedule(float(i), lambda i=i: fired.append(i))
+            kernel.schedule(float(i + 1), lambda i=i: fired.append(i))
             for i in range(10)
         ]
         handles[3].cancel()
@@ -140,6 +143,131 @@ class TestCompaction:
         kernel.schedule(500.0, lambda: fired.append(kernel.now()))
         kernel.run()
         assert fired == [1.0, 500.0]
+
+
+class TestSameInstantEvents:
+    """Events due the instant they are scheduled skip the heap; the firing
+    order is still exactly ``(when, seq)``."""
+
+    def test_zero_delay_events_skip_the_heap(self, kernel):
+        kernel.schedule(0.0, lambda: None)
+        kernel.schedule(1.0, lambda: None)
+        assert len(kernel._heap) == 1
+        assert kernel.pending() == 2
+
+    def test_earlier_scheduled_events_at_now_fire_first(self, kernel):
+        order = []
+
+        def at_two():
+            order.append("a")
+            kernel.schedule(0.0, lambda: order.append("d"))
+
+        kernel.schedule(2.0, at_two)
+        kernel.schedule(2.0, lambda: order.append("b"))
+        kernel.schedule(2.0, lambda: order.append("c"))
+        kernel.schedule(3.0, lambda: order.append("e"))
+        kernel.run()
+        assert order == ["a", "b", "c", "d", "e"]
+
+    def test_zero_delay_chains_stay_fifo_and_clock_holds(self, kernel):
+        order = []
+
+        def relay(n):
+            order.append((n, kernel.now()))
+            if n < 3:
+                kernel.schedule(0.0, lambda: relay(n + 1))
+
+        kernel.schedule(5.0, lambda: relay(0))
+        kernel.schedule(5.0, lambda: order.append(("x", kernel.now())))
+        kernel.run()
+        assert order == [(0, 5.0), ("x", 5.0), (1, 5.0), (2, 5.0), (3, 5.0)]
+
+    def test_cancelled_same_instant_event_does_not_fire(self, kernel):
+        fired = []
+        kernel.schedule(0.0, lambda: fired.append(1)).cancel()
+        kernel.schedule(0.0, lambda: fired.append(2))
+        assert kernel.pending() == 1
+        assert kernel.run() == 1
+        assert fired == [2]
+
+    @pytest.mark.parametrize("drain", ["step", "run", "run_until"])
+    def test_every_drain_matches_heap_order(self, drain):
+        from repro.grid.simkernel import SimKernel
+
+        kernel = SimKernel()
+        order = []
+
+        def spawn(tag, depth):
+            order.append((tag, kernel.now()))
+            if depth:
+                kernel.schedule(0.0, lambda: spawn(tag + "0", depth - 1))
+                kernel.schedule(0.5, lambda: spawn(tag + "h", depth - 1))
+
+        for i in range(3):
+            kernel.schedule(float(i % 2), lambda i=i: spawn(str(i), 3))
+        if drain == "step":
+            while kernel.step():
+                pass
+        elif drain == "run":
+            kernel.run()
+        else:
+            kernel.run_until(100.0)
+        times = [t for _tag, t in order]
+        assert times == sorted(times)
+        assert len(order) == 3 * 15
+        assert order[:4] == [("0", 0.0), ("2", 0.0), ("00", 0.0), ("20", 0.0)]
+
+    def test_run_until_stops_before_later_events(self, kernel):
+        fired = []
+        kernel.schedule(0.0, lambda: fired.append("now"))
+        kernel.schedule(2.0, lambda: fired.append("later"))
+        assert kernel.run_until(1.0) == 1
+        assert fired == ["now"] and kernel.now() == 1.0
+
+
+class TestFiredTimers:
+    """Cancelling the handle of a timer that already fired is a no-op: it
+    is not counted as a cancellation and cannot trigger a compaction."""
+
+    @pytest.mark.parametrize("drain", ["step", "run", "run_until"])
+    def test_cancel_after_fire_counts_nothing(self, kernel, drain):
+        fired = []
+        handles = [
+            kernel.schedule(float(i), lambda i=i: fired.append(i))
+            for i in range(200)
+        ]
+        if drain == "step":
+            while kernel.step():
+                pass
+        elif drain == "run":
+            kernel.run()
+        else:
+            kernel.run_until(500.0)
+        for handle in handles:
+            handle.cancel()
+        assert len(fired) == 200
+        stats = kernel.stats()
+        assert stats["timers_cancelled"] == 0
+        assert stats["compactions"] == 0
+        assert kernel._timers._cancelled == 0
+        assert not any(handle.cancelled for handle in handles)
+
+    def test_reactor_handles_of_fired_timers(self, kernel, reactor):
+        handles = [reactor.call_later(1.0, lambda: None) for _ in range(100)]
+        reactor.run_until_idle()
+        for handle in handles:
+            handle.cancel()
+        assert kernel.stats()["timers_cancelled"] == 0
+        assert kernel.stats()["compactions"] == 0
+
+    def test_pending_cancels_still_count(self, kernel):
+        fired = kernel.schedule(1.0, lambda: None)
+        pending = kernel.schedule(5.0, lambda: None)
+        kernel.run_until(2.0)
+        fired.cancel()
+        pending.cancel()
+        assert kernel.stats()["timers_cancelled"] == 1
+        assert pending.cancelled and not fired.cancelled
 
 
 class TestReset:
