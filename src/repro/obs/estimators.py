@@ -259,37 +259,59 @@ class HostEstimator:
 
 
 class ActivityEstimator:
-    """Attempt failure probability for one (workflow, activity) pair."""
+    """Attempt failure probability for one (workflow, activity) pair.
 
-    __slots__ = ("workflow_id", "activity", "attempts", "failures", "duration")
+    The Wilson interval (``low``, ``high``) is kept current by
+    :meth:`record`, so the suite's per-tick reads over every estimator
+    cost an attribute load each.  *changed*, when given, is a set the
+    estimator adds itself to on every :meth:`record` (the suite's record
+    of what its next export writes).
+    """
+
+    __slots__ = (
+        "workflow_id",
+        "activity",
+        "attempts",
+        "failures",
+        "low",
+        "high",
+        "_changed",
+    )
 
     def __init__(
-        self, workflow_id: str, activity: str, *, alpha: float = 0.3
+        self,
+        workflow_id: str,
+        activity: str,
+        *,
+        changed: "set[ActivityEstimator] | None" = None,
     ) -> None:
         self.workflow_id = workflow_id
         self.activity = activity
         self.attempts = 0
         self.failures = 0
-        self.duration = Ewma(alpha)
+        self.low, self.high = wilson_interval(0, 0)
+        self._changed = changed
 
     def record(self, outcome: str) -> None:
         self.attempts += 1
         if outcome != "done":
             self.failures += 1
+        self.low, self.high = wilson_interval(self.failures, self.attempts)
+        if self._changed is not None:
+            self._changed.add(self)
 
     def failure_probability(self) -> float:
         return self.failures / max(1, self.attempts)
 
     def snapshot(self) -> dict[str, Any]:
-        low, high = wilson_interval(self.failures, self.attempts)
         return {
             "workflow_id": self.workflow_id,
             "activity": self.activity,
             "attempts": self.attempts,
             "failures": self.failures,
             "failure_probability": self.failure_probability(),
-            "wilson_low": low,
-            "wilson_high": high,
+            "wilson_low": self.low,
+            "wilson_high": self.high,
         }
 
 
@@ -345,6 +367,10 @@ class EstimatorSuite:
         self.hosts: dict[str, HostEstimator] = {}
         self.activities: dict[tuple[str, str], ActivityEstimator] = {}
         self.drift_events = 0
+        # Activity estimators created or recorded since the last export,
+        # and the registry (and its generation) that export wrote to.
+        self._changed: set[ActivityEstimator] = set()
+        self._exported: tuple["MetricsRegistry", int] | None = None
         self._clock = clock
         self._bus: "EventBus | None" = None
         self._subscriptions: list["Subscription"] = []
@@ -401,8 +427,9 @@ class EstimatorSuite:
         estimator = self.activities.get(key)
         if estimator is None:
             estimator = self.activities[key] = ActivityEstimator(
-                workflow_id, activity, alpha=self.alpha
+                workflow_id, activity, changed=self._changed
             )
+            self._changed.add(estimator)
         return estimator
 
     # -- event handlers ------------------------------------------------------
@@ -485,9 +512,8 @@ class EstimatorSuite:
         key on."""
         best = 0.0
         for estimator in self.activities.values():
-            low, _ = wilson_interval(estimator.failures, estimator.attempts)
-            if low > best:
-                best = low
+            if estimator.low > best:
+                best = estimator.low
         return best
 
     def snapshot(self) -> dict[str, Any]:
@@ -504,7 +530,14 @@ class EstimatorSuite:
 
     def export(self, registry: "MetricsRegistry") -> None:
         """Current estimator values as registry gauges (picked up by the
-        collector into the store and served on ``/metrics``)."""
+        collector into the store and served on ``/metrics``).
+
+        Host gauges are written every time (liveness is ingested every
+        tick).  Activity gauges are written only for estimators created or
+        recorded since the last export to this registry; a different
+        registry, or one cleared or merged into since, gets them all.
+        Either way new gauges are created in sorted key order.
+        """
         gauge = registry.gauge
         for hostname in sorted(self.hosts):
             estimator = self.hosts[hostname]
@@ -543,32 +576,36 @@ class EstimatorSuite:
                 help="host failures attributed by the estimators",
                 host=hostname,
             ).set(estimator.failures)
-        for key in sorted(self.activities):
-            estimator = self.activities[key]
-            low, high = wilson_interval(
-                estimator.failures, estimator.attempts
-            )
-            labels = {
-                "workflow_id": estimator.workflow_id,
-                "activity": estimator.activity,
-            }
+        exported = (registry, registry.generation)
+        if exported == self._exported:
+            changed = sorted(self._changed, key=lambda e: (e.workflow_id, e.activity))
+        else:
+            changed = [self.activities[key] for key in sorted(self.activities)]
+        self._changed.clear()
+        self._exported = exported
+        for estimator in changed:
+            wfid, activity = estimator.workflow_id, estimator.activity
             gauge(
                 "obs_attempt_failure_probability",
                 help="attempt failures / attempts",
-                **labels,
+                workflow_id=wfid,
+                activity=activity,
             ).set(estimator.failure_probability())
             gauge(
                 "obs_attempt_failure_wilson_low",
                 help="Wilson 95% lower bound on the failure probability",
-                **labels,
-            ).set(low)
+                workflow_id=wfid,
+                activity=activity,
+            ).set(estimator.low)
             gauge(
                 "obs_attempt_failure_wilson_high",
                 help="Wilson 95% upper bound on the failure probability",
-                **labels,
-            ).set(high)
+                workflow_id=wfid,
+                activity=activity,
+            ).set(estimator.high)
             gauge(
                 "obs_attempts_total",
                 help="terminal attempt outcomes observed",
-                **labels,
+                workflow_id=wfid,
+                activity=activity,
             ).set(estimator.attempts)

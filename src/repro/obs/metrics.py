@@ -66,7 +66,15 @@ LabelItems = tuple[tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, Any]) -> LabelItems:
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    """``tuple(sorted((k, str(v)) for k, v in labels.items()))``, built
+    without the generator: exact ``str`` values are used as they are, and
+    a single label needs no sort (this runs on every instrument lookup)."""
+    if len(labels) == 1:
+        for k, v in labels.items():
+            return ((k, v if v.__class__ is str else str(v)),)
+    items = [(k, v if v.__class__ is str else str(v)) for k, v in labels.items()]
+    items.sort()
+    return tuple(items)
 
 
 class Counter:
@@ -231,6 +239,11 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self._families: dict[str, _Family] = {}
+        #: Bumped by :meth:`clear` and :meth:`merge`, the two ways values
+        #: change other than through an instrument a caller holds; an
+        #: exporter that writes only what changed since its last export
+        #: writes everything again when it moves.
+        self.generation = 0
 
     # -- instrument lookup ---------------------------------------------------
 
@@ -353,6 +366,7 @@ class MetricsRegistry:
         the snapshot's value."""
         if not self.enabled:
             return
+        self.generation += 1
         for name, family_snap in snapshot.items():
             kind = family_snap["kind"]
             buckets = family_snap.get("buckets")
@@ -386,3 +400,4 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every family and series."""
         self._families.clear()
+        self.generation += 1

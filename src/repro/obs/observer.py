@@ -106,9 +106,11 @@ class RunObserver:
         # Per-run span bookkeeping, keyed by workflow_id ("" for a classic
         # single-instance run) so N multiplexed instances never share or
         # clobber each other's spans; cleared per-instance on
-        # workflow_finished.
+        # workflow_finished.  Node spans are indexed per workflow (then
+        # by node), so a finish drops its own spans without scanning the
+        # other instances' ones.
         self._workflow_spans: dict[str, "Span"] = {}
-        self._node_spans: dict[tuple[str, str], "Span"] = {}
+        self._node_spans: dict[str, dict[str, "Span"]] = {}
         self._attempt_spans: dict[str, "Span"] = {}
         if bus is not None:
             self.attach_bus(bus)
@@ -166,6 +168,10 @@ class RunObserver:
     def metrics(self) -> "MetricsRegistry":
         return self.obs.metrics
 
+    def _node_span(self, wfid: str, node: str) -> "Span | None":
+        nodes = self._node_spans.get(wfid)
+        return nodes.get(node) if nodes else None
+
     # -- engine lifecycle ----------------------------------------------------
 
     def _on_engine_event(self, topic: str, payload: Any) -> None:
@@ -193,7 +199,10 @@ class RunObserver:
                 workflow=workflow,
                 **wl,
             ).inc()
-            self._node_spans[(wfid, node)] = spans.begin(
+            nodes = self._node_spans.get(wfid)
+            if nodes is None:
+                nodes = self._node_spans[wfid] = {}
+            nodes[node] = spans.begin(
                 "node.run",
                 parent=workflow_span.id,
                 node=node,
@@ -202,7 +211,8 @@ class RunObserver:
             )
         elif topic in ("engine.node_completed", "engine.node_cancelled"):
             status = detail.get("status", "cancelled")
-            span = self._node_spans.pop((wfid, node), None)
+            nodes = self._node_spans.get(wfid)
+            span = nodes.pop(node, None) if nodes else None
             if span is not None:
                 span.labels["status"] = status
                 spans.end(span)
@@ -234,8 +244,7 @@ class RunObserver:
                 spans.end(workflow_span)
             # Engine reuse starts this instance's next run with fresh
             # bookkeeping; sibling instances' spans are untouched.
-            for key in [k for k in self._node_spans if k[0] == wfid]:
-                del self._node_spans[key]
+            self._node_spans.pop(wfid, None)
             if not wfid:
                 self._attempt_spans.clear()
 
@@ -279,7 +288,7 @@ class RunObserver:
         spans = self.obs.spans
         base = _base_task_topic(topic)
         if base == "task.active":
-            node_span = self._node_spans.get((wfid, activity))
+            node_span = self._node_span(wfid, activity)
             self._attempt_spans[job] = spans.begin(
                 "task.attempt",
                 parent=node_span.id if node_span is not None else None,
@@ -295,7 +304,7 @@ class RunObserver:
             if span is None:
                 # Terminal before TaskStart (e.g. instant crash): record a
                 # zero-duration attempt so the trace still shows it.
-                node_span = self._node_spans.get((wfid, activity))
+                node_span = self._node_span(wfid, activity)
                 span = spans.begin(
                     "task.attempt",
                     parent=node_span.id if node_span is not None else None,
@@ -344,7 +353,7 @@ class RunObserver:
                 for key in ("span_id", "parent_id")
                 if detail.get(key)
             }
-            node_span = self._node_spans.get((wfid, activity))
+            node_span = self._node_span(wfid, activity)
             self.obs.spans.instant(
                 topic,
                 parent=node_span.id if node_span is not None else None,
@@ -366,7 +375,7 @@ class RunObserver:
                 activity=activity,
             ).observe(delay)
             if delay > 0:
-                node_span = self._node_spans.get((wfid, activity))
+                node_span = self._node_span(wfid, activity)
                 self.obs.spans.interval(
                     "recovery.backoff",
                     at,

@@ -24,12 +24,21 @@ Feeding happens on a cadence: :class:`PeriodicCollector` re-runs the
 end-of-run scrapers against the live registry and samples every registry
 family into the store on a recurring reactor timer, so ``/timeseries``
 and the drift/health layers see the same numbers ``/metrics`` serves.
+
+A tick costs what changed, not what has ever run.  The store keeps each
+family's instruments paired with their series, so a tick builds no label
+keys, and an instrument still at the value its series last sampled is
+*held*: the tick stores nothing for it, and every read replays the held
+value over the ticks taken since, exactly as if each tick had been stored
+(see :class:`Series`).  Reads never write, so the HTTP server's thread
+can make them while the reactor thread ticks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
@@ -47,10 +56,67 @@ __all__ = [
     "PeriodicCollector",
 ]
 
-#: Point layout inside a :class:`Series` ring (plain lists keep the
-#: per-sample cost to index assignments): bucket start time, observation
-#: count, sum, min, max, last.
+#: Point layout: bucket start time, observation count, sum, min, max,
+#: last.  A :class:`Series` ring is one flat list of such six-slot runs
+#: (a list per point would be one more object per point for the garbage
+#: collector to walk); reads slice it into one list per point.
 _T, _N, _SUM, _MIN, _MAX, _LAST = range(6)
+_WIDTH = 6
+
+
+def _fold(ring: list, value: float) -> None:
+    """Add one observation to the newest bucket of a flat ring (its count,
+    sum, min, max and last are the five trailing slots).  Every path that
+    writes or replays an observation uses this, so they agree to the last
+    bit."""
+    ring[-5] += 1
+    ring[-4] += value
+    if value < ring[-3]:
+        ring[-3] = value
+    if value > ring[-2]:
+        ring[-2] = value
+    ring[-1] = value
+
+
+def _rows(ring: list[float]) -> list[list[float]]:
+    """A flat ring as one six-slot list per point."""
+    return [ring[i : i + _WIDTH] for i in range(0, len(ring), _WIDTH)]
+
+
+class _TickLog:
+    """A store's recent collector ticks, run-length encoded by bucket.
+
+    One ``(bucket, first tick number, ticks)`` entry per bucket of the
+    store's step, at most ``capacity`` entries.  Held series replay their
+    value over these ticks when read.  Older ticks cannot change any read:
+    a series held since before the first entry has had ``capacity`` new
+    buckets since its last stored point, so its own ring of that capacity
+    has evicted everything older.
+    """
+
+    __slots__ = ("step", "capacity", "entries", "ticks")
+
+    def __init__(self, step: float, capacity: int) -> None:
+        self.step = step
+        self.capacity = capacity
+        self.entries: list[tuple[float, int, int]] = []
+        #: Ticks taken so far, which is also the number of the next one.
+        self.ticks = 0
+
+    def advance(self, now: float) -> float:
+        """Record one tick at *now* and return the bucket it counts in (a
+        late tick folds into the newest bucket, as a late sample does)."""
+        bucket = math.floor(now / self.step) * self.step
+        entries = self.entries
+        if entries and bucket <= entries[-1][0]:
+            bucket, first, count = entries[-1]
+            entries[-1] = (bucket, first, count + 1)
+        else:
+            entries.append((bucket, self.ticks, 1))
+            if len(entries) > self.capacity:
+                del entries[0]
+        self.ticks += 1
+        return bucket
 
 
 class Series:
@@ -63,9 +129,26 @@ class Series:
       of *last* values over the window span;
     * ``"event"``   — each observation is one occurrence; :meth:`rate`
       is occurrences per second.
+
+    A series the collector samples may be *held*: when a tick finds the
+    instrument still at the value it last sampled, the tick stores
+    nothing, and every read replays that value over the ticks taken since
+    (:meth:`_view`), with the arithmetic :meth:`observe` would have used.
+    Reads never write, so the HTTP server's thread may make them while the
+    reactor thread ticks.
     """
 
-    __slots__ = ("name", "labels", "kind", "step", "capacity", "_points")
+    __slots__ = (
+        "name",
+        "labels",
+        "kind",
+        "step",
+        "capacity",
+        "_points",
+        "_log",
+        "_held",
+        "_held_from",
+    )
 
     def __init__(
         self,
@@ -87,31 +170,83 @@ class Series:
         self.kind = kind
         self.step = step
         self.capacity = capacity
-        self._points: list[list[float]] = []
+        self._points: list[float] = []
+        #: The owning store's tick log; None when this series may not be
+        #: held (standalone, or a step or capacity other than the store's).
+        self._log: _TickLog | None = None
+        #: The value held since tick number ``_held_from``, or None.
+        self._held: float | None = None
+        self._held_from = 0
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._view()) // _WIDTH
 
     def observe(self, t: float, value: float = 1.0) -> None:
         """Record *value* at simulation time *t* (downsampled into the
         ``t // step`` bucket; out-of-order samples fold into the newest
         bucket rather than being dropped)."""
+        self._settle()
+        self._observe(t, value)
+
+    def _observe(self, t: float, value: float) -> None:
         bucket = math.floor(t / self.step) * self.step
         points = self._points
-        if points:
-            last = points[-1]
-            if bucket <= last[_T]:
-                last[_N] += 1
-                last[_SUM] += value
-                if value < last[_MIN]:
-                    last[_MIN] = value
-                if value > last[_MAX]:
-                    last[_MAX] = value
-                last[_LAST] = value
-                return
-        points.append([bucket, 1, value, value, value, value])
-        if len(points) > self.capacity:
-            del points[0]
+        if points and bucket <= points[-_WIDTH]:
+            _fold(points, value)
+            return
+        points += (bucket, 1, value, value, value, value)
+        if len(points) > _WIDTH * self.capacity:
+            del points[:_WIDTH]
+
+    # -- held samples (collector, reactor thread) ----------------------------
+
+    def _sample(self, now: float, value: float, bucket: float, tick: int) -> None:
+        """Collector tick number *tick* found a new *value*: store it, and
+        hold it if its point is the tick's own bucket (not one a merge or
+        a late sample pushed ahead of the clock)."""
+        if self._held is not None:
+            self._settle(tick)
+        self._observe(now, value)
+        if self._log is not None and self._points[-_WIDTH] == bucket:
+            self._held = value
+            self._held_from = tick + 1
+
+    def _settle(self, until: int | None = None) -> None:
+        """Write the held value's ticks (those numbered below *until*, by
+        default all taken) into the ring and stop holding."""
+        if self._held is not None:
+            points = self._view(until)
+            self._held = None
+            self._points = points
+
+    def _view(self, until: int | None = None) -> list[float]:
+        """The flat ring as eager sampling would have left it: the stored
+        points plus the held value replayed over ticks ``[_held_from,
+        until)``.  Pure: a replay works on a copy."""
+        held = self._held
+        points = self._points
+        log = self._log
+        if held is None or log is None:
+            return points
+        held_from = self._held_from
+        if until is None:
+            until = log.ticks
+        if held_from >= until:
+            return points
+        view = points[:]
+        for bucket, first, count in list(log.entries):
+            n = min(first + count, until) - max(first, held_from)
+            if n <= 0:
+                continue
+            if bucket > view[-_WIDTH]:
+                view += (bucket, 1, held, held, held, held)
+                n -= 1
+            for _ in range(n):
+                _fold(view, held)
+        excess = len(view) - _WIDTH * self.capacity
+        if excess > 0:
+            del view[:excess]
+        return view
 
     # -- window queries ------------------------------------------------------
 
@@ -134,7 +269,7 @@ class Series:
     def _window(
         self, since: float | None, until: float | None
     ) -> list[list[float]]:
-        out = self._points
+        out = _rows(self._view())
         if since is not None:
             out = [p for p in out if p[_T] >= since]
         if until is not None:
@@ -143,7 +278,10 @@ class Series:
 
     def latest(self) -> float | None:
         """Most recent observed value, or None on an empty ring."""
-        return self._points[-1][_LAST] if self._points else None
+        if self._held is not None:
+            return self._held
+        points = self._points
+        return points[-1] if points else None
 
     def mean(self, since: float | None = None) -> float | None:
         """Mean of the raw observations in the window."""
@@ -303,6 +441,11 @@ class TimeSeriesStore:
         self.capacity = capacity
         self._series: dict[tuple[str, LabelItems], Series] = {}
         self._histograms: dict[tuple[str, LabelItems], HistogramSeries] = {}
+        self._log = _TickLog(step, capacity)
+        #: The registry :meth:`collect` last sampled, and one entry per
+        #: family of it, in registration order.
+        self._source: "MetricsRegistry | None" = None
+        self._tracked: list[_Tracked] = []
 
     # -- series lookup -------------------------------------------------------
 
@@ -320,14 +463,26 @@ class TimeSeriesStore:
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
-            series = Series(
-                name,
-                labels=key[1],
-                kind=kind,
-                step=step if step is not None else self.step,
-                capacity=capacity if capacity is not None else self.capacity,
-            )
-            self._series[key] = series
+            series = self._new_series(key, kind, step, capacity)
+        return series
+
+    def _new_series(
+        self,
+        key: tuple[str, LabelItems],
+        kind: str,
+        step: float | None = None,
+        capacity: int | None = None,
+    ) -> Series:
+        series = self._series[key] = Series(
+            key[0],
+            labels=key[1],
+            kind=kind,
+            step=step if step is not None else self.step,
+            capacity=capacity if capacity is not None else self.capacity,
+        )
+        log = self._log
+        if series.step == log.step and series.capacity == log.capacity:
+            series._log = log
         return series
 
     def histogram_series(
@@ -365,37 +520,98 @@ class TimeSeriesStore:
     def collect(self, registry: "MetricsRegistry", now: float) -> None:
         """Sample every registry family into the store at time *now*:
         counters and gauges land in value series, histograms in
-        cumulative-count snapshots."""
+        cumulative-count snapshots.
+
+        A counter or gauge still holding the value object (or an equal
+        nonzero float) its series last sampled is skipped: the series
+        holds that value, and reads replay it over this tick.  Equal zeros
+        are stored, since ``0.0 == -0.0``.
+        """
         if not self.enabled:
             return
-        for family in registry.families():
-            if family.kind == "histogram":
-                for key, hist in family.series.items():
-                    track = self._histograms.get((family.name, key))
-                    if track is None:
-                        track = self._histograms[(family.name, key)] = (
-                            HistogramSeries(
-                                family.name,
-                                hist.bounds,
-                                labels=key,
-                                step=self.step,
-                                capacity=self.capacity,
-                            )
-                        )
+        tracked = self._track(registry)
+        tick = self._log.ticks
+        bucket = self._log.advance(now)
+        for entry in tracked:
+            if entry.histogram:
+                for hist, track in zip(entry.instruments, entry.series):
                     track.sample(now, hist.counts, hist.count, hist.sum)
+                continue
+            for instrument, series in zip(entry.instruments, entry.series):
+                value = instrument.value
+                held = series._held
+                if value is held or (held is not None and value == held and value):
+                    continue
+                series._sample(now, value, bucket, tick)
+
+    def _track(self, registry: "MetricsRegistry") -> "list[_Tracked]":
+        """Bring the (instrument, series) pairs up to date with *registry*.
+
+        A registry only ever appends families and instruments until
+        :meth:`MetricsRegistry.clear`, which replaces its families with new
+        objects, so an identity check per family and a length check on its
+        series find everything that changed.
+        """
+        tracked = self._tracked
+        if registry is not self._source:
+            self._release(0)
+            self._source = registry
+        i = 0
+        for family in registry.families():
+            if i < len(tracked) and tracked[i].family is family:
+                entry = tracked[i]
             else:
-                kind = "counter" if family.kind == "counter" else "gauge"
-                for key, instrument in family.series.items():
-                    series = self._series.get((family.name, key))
-                    if series is None:
-                        series = self._series[(family.name, key)] = Series(
-                            family.name,
-                            labels=key,
-                            kind=kind,
-                            step=self.step,
-                            capacity=self.capacity,
-                        )
-                    series.observe(now, instrument.value)
+                self._release(i)
+                entry = _Tracked(family)
+                tracked.append(entry)
+            if len(family.series) != entry.seen:
+                self._pair(entry)
+            i += 1
+        if i < len(tracked):
+            self._release(i)
+        return tracked
+
+    def _pair(self, entry: "_Tracked") -> None:
+        """Pair the instruments added to a family since it was last seen."""
+        family = entry.family
+        name = family.name
+        added = islice(family.series.items(), entry.seen, None)
+        add_instrument = entry.instruments.append
+        add_series = entry.series.append
+        if entry.histogram:
+            tracks = self._histograms
+            for key, hist in added:
+                track = tracks.get((name, key))
+                if track is None:
+                    track = tracks[(name, key)] = HistogramSeries(
+                        name,
+                        hist.bounds,
+                        labels=key,
+                        step=self.step,
+                        capacity=self.capacity,
+                    )
+                add_instrument(hist)
+                add_series(track)
+        else:
+            kind = "counter" if family.kind == "counter" else "gauge"
+            known = self._series
+            for key, instrument in added:
+                series = known.get((name, key))
+                if series is None:
+                    series = self._new_series((name, key), kind)
+                add_instrument(instrument)
+                add_series(series)
+        entry.seen = len(family.series)
+
+    def _release(self, start: int) -> None:
+        """Stop sampling the families tracked from index *start* on (their
+        registry was cleared or replaced): each held series keeps its
+        value through the last tick taken, and no later one."""
+        for entry in self._tracked[start:]:
+            if not entry.histogram:
+                for series in entry.series:
+                    series._settle()
+        del self._tracked[start:]
 
     # -- queries -------------------------------------------------------------
 
@@ -444,11 +660,13 @@ class TimeSeriesStore:
                 series = self.series(
                     name, kind=record.get("kind", "gauge"), **record["labels"]
                 )
-                by_bucket = {p[_T]: p for p in series._points}
+                series._settle()
+                rows = _rows(series._points)
+                by_bucket = {p[_T]: p for p in rows}
                 for point in record["points"]:
                     mine = by_bucket.get(point["t"])
                     if mine is None:
-                        series._points.append(
+                        rows.append(
                             [
                                 point["t"],
                                 point["count"],
@@ -464,9 +682,10 @@ class TimeSeriesStore:
                         mine[_MIN] = min(mine[_MIN], point["min"])
                         mine[_MAX] = max(mine[_MAX], point["max"])
                         mine[_LAST] = point["last"]
-                series._points.sort(key=lambda p: p[_T])
-                if len(series._points) > series.capacity:
-                    del series._points[: len(series._points) - series.capacity]
+                rows.sort(key=lambda p: p[_T])
+                if len(rows) > series.capacity:
+                    del rows[: len(rows) - series.capacity]
+                series._points = [x for row in rows for x in row]
 
     # -- exports -------------------------------------------------------------
 
@@ -507,6 +726,23 @@ class TimeSeriesStore:
                     f"{p['sum']:g},{p['min']:g},{p['max']:g},{p['last']:g}"
                 )
         return "\n".join(rows) + "\n"
+
+
+class _Tracked:
+    """One registry family as :meth:`TimeSeriesStore.collect` samples it:
+    its instruments, the series (or histogram track) of each at the same
+    index, and how many of the family's instruments they cover.  Two flat
+    lists rather than a list of pairs: a pair tuple per instrument would
+    be one more object for the garbage collector to walk."""
+
+    __slots__ = ("family", "histogram", "instruments", "series", "seen")
+
+    def __init__(self, family: Any) -> None:
+        self.family = family
+        self.histogram = family.kind == "histogram"
+        self.instruments: list[Any] = []
+        self.series: list[Any] = []
+        self.seen = 0
 
 
 class PeriodicCollector:

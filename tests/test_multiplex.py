@@ -336,6 +336,46 @@ class TestObserverDimension:
             )
             assert counter.value == 1
 
+    def test_finishing_one_workflow_keeps_siblings_node_spans(self):
+        from repro.events import EventBus
+
+        bus = EventBus()
+        observer = RunObserver(bus)
+        for wfid in ("wf-a", "wf-b"):
+            bus.publish(
+                "engine.node_launched",
+                {"at": 0.0, "node": "n", "workflow": "w", "workflow_id": wfid},
+            )
+        bus.publish(
+            "engine.workflow_finished",
+            {"at": 1.0, "workflow": "w", "workflow_id": "wf-a", "status": "failed"},
+        )
+        bus.publish(
+            "engine.node_completed",
+            {
+                "at": 2.0,
+                "node": "n",
+                "workflow": "w",
+                "workflow_id": "wf-b",
+                "status": "done",
+            },
+        )
+        (span,) = [
+            s
+            for s in observer.spans
+            if s.name == "node.run" and s.labels["workflow_id"] == "wf-b"
+        ]
+        assert span.labels["status"] == "done"
+
+    def test_node_span_index_releases_finished_workflows(self):
+        from tests.helpers import SeededBatch
+
+        batch = SeededBatch(30)
+        observer = RunObserver(batch.host.runtime.bus, clock=batch.grid.reactor.now)
+        batch.run()
+        assert observer._node_spans == {}
+        assert observer._workflow_spans == {}
+
     def test_unscoped_run_has_no_workflow_id_label(self):
         grid = fixed_grid()
         engine = WorkflowEngine(

@@ -292,6 +292,82 @@ class TestEstimatorSuite:
         ) == pytest.approx(high)
 
 
+class _CountingRegistry(MetricsRegistry):
+    """A registry counting the gauge writes an export makes, by family."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: dict[str, int] = {}
+
+    def gauge(self, name, **kwargs):
+        self.writes[name] = self.writes.get(name, 0) + 1
+        return super().gauge(name, **kwargs)
+
+    def activity_writes(self) -> int:
+        return sum(n for name, n in self.writes.items() if "attempt" in name)
+
+
+class TestExportWritesWhatChanged:
+    def _suite(self):
+        suite = EstimatorSuite(priors={"h1": (100.0, 0.0)})
+        suite.record_host_failure("h1", 10.0)
+        for wfid in ("wf-2", "wf-1", "wf-3"):
+            suite.activity(wfid, "task").record("done")
+        return suite
+
+    def test_quiet_export_writes_host_gauges_only(self):
+        suite = self._suite()
+        registry = _CountingRegistry()
+        suite.export(registry)
+        assert registry.activity_writes() == 3 * 4
+        registry.writes.clear()
+        suite.export(registry)
+        assert registry.activity_writes() == 0
+        assert registry.writes["obs_host_heartbeat_loss_rate"] == 1
+
+    def test_recorded_and_new_estimators_are_rewritten(self):
+        suite = self._suite()
+        registry = _CountingRegistry()
+        suite.export(registry)
+        held = suite.activities[("wf-1", "task")]
+        registry.writes.clear()
+        held.record("failed")  # through a held reference, not the suite
+        suite.activity("wf-0", "task")
+        suite.export(registry)
+        assert registry.activity_writes() == 2 * 4
+        labels = {"workflow_id": "wf-1", "activity": "task"}
+        assert registry.value("obs_attempts_total", **labels) == 2.0
+        # New gauges join each family in sorted key order, after the
+        # existing ones, as a full re-export would have added them.
+        family = {f.name: f for f in registry.families()}["obs_attempts_total"]
+        assert [dict(key)["workflow_id"] for key in family.series] == [
+            "wf-1",
+            "wf-2",
+            "wf-3",
+            "wf-0",
+        ]
+
+    @pytest.mark.parametrize("disturb", ["fresh", "clear", "merge"])
+    def test_new_cleared_or_merged_registry_gets_everything(self, disturb):
+        suite = self._suite()
+        registry = _CountingRegistry()
+        suite.export(registry)
+        if disturb == "fresh":
+            registry = _CountingRegistry()
+        elif disturb == "clear":
+            registry.clear()
+        else:
+            other = MetricsRegistry()
+            labels = {"workflow_id": "wf-1", "activity": "task"}
+            other.gauge("obs_attempts_total", **labels).set(99.0)
+            registry.merge(other.snapshot())
+        registry.writes.clear()
+        suite.export(registry)
+        assert registry.activity_writes() == 3 * 4
+        labels = {"workflow_id": "wf-1", "activity": "task"}
+        assert registry.value("obs_attempts_total", **labels) == 1.0
+
+
 class TestPriorsFromGrid:
     def test_reads_host_specs(self):
         grid = SimulatedGrid(config=GridConfig(heartbeats=False))

@@ -213,6 +213,195 @@ class TestTimeSeriesStore:
         assert store.names() == []
 
 
+def _eager(name, ticks, *, step, capacity=512, kind="gauge"):
+    """The reference: a standalone series fed one observe per sampled tick."""
+    series = Series(name, kind=kind, step=step, capacity=capacity)
+    for t, value in ticks:
+        series.observe(t, value)
+    return series
+
+
+def _reads(series, since):
+    return (
+        series.points(),
+        series.points(since=since),
+        len(series),
+        series.latest(),
+        series.mean(),
+        series.mean(since),
+        series.rate(),
+        series.rate(since),
+    )
+
+
+def _stored(series):
+    return (list(series._points), series._held, series._held_from)
+
+
+class TestHeldSamples:
+    """A tick stores nothing for an instrument still at its last sampled
+    value; every read replays that value over the ticks since."""
+
+    def test_quiet_ticks_store_nothing_but_read_one_point_per_tick(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(3.0)
+        store = TimeSeriesStore(step=1.0)
+        for t in range(10):
+            store.collect(registry, float(t))
+        series = store.get("g")
+        assert len(series._points) == 6  # one stored point (six slots)
+        assert len(series) == 10
+        assert [p["t"] for p in series.points()] == [float(t) for t in range(10)]
+        reference = _eager("g", [(float(t), 3.0) for t in range(10)], step=1.0)
+        assert _reads(series, 4.0) == _reads(reference, 4.0)
+
+    def test_reads_are_pure(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(2)
+        store = TimeSeriesStore(step=1.0, capacity=4)
+        for t in range(7):
+            store.collect(registry, float(t))
+        series = store.get("c")
+        before = _stored(series)
+        first = _reads(series, 3.0)
+        assert _stored(series) == before
+        assert _reads(series, 3.0) == first
+        assert store.snapshot() == store.snapshot()
+        assert _stored(series) == before
+
+    @pytest.mark.parametrize(
+        "step, capacity", [(1.0, 512), (1.0, 3), (2.5, 4), (0.5, 2)]
+    )
+    def test_matches_eager_sampling_through_folds_and_evictions(self, step, capacity):
+        # Values change on some ticks and hold on others; ticks fall two
+        # or three to a bucket (step 2.5), one apart, or skip buckets
+        # (step 0.5), and the small rings turn over many times.
+        import random
+
+        rng = random.Random(11)
+        registry = MetricsRegistry()
+        gauges = [registry.gauge("g", i=i) for i in range(6)]
+        fed = {i: [] for i in range(6)}
+        store = TimeSeriesStore(step=step, capacity=capacity)
+        since = None
+        for tick in range(60):
+            now = tick * 1.0
+            for i, gauge in enumerate(gauges):
+                if rng.random() < (0.1 * i):
+                    gauge.set(float(rng.randint(0, 3)))
+                fed[i].append((now, gauge.value))
+            store.collect(registry, now)
+            if tick % 7 == 3:
+                since = now - 3.0
+                for i in range(6):
+                    reference = _eager("g", fed[i], step=step, capacity=capacity)
+                    series = store.get("g", i=i)
+                    assert _reads(series, since) == _reads(reference, since)
+        assert len(store._log.entries) <= capacity
+
+    def test_late_tick_folds_like_a_late_sample(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(1.0)
+        store = TimeSeriesStore(step=10.0, capacity=4)
+        times = [0.0, 5.0, 25.0, 12.0, 31.0, 44.0, 41.0]
+        for now in times:
+            store.collect(registry, now)
+        reference = _eager("g", [(t, 1.0) for t in times], step=10.0, capacity=4)
+        assert _reads(store.get("g"), 20.0) == _reads(reference, 20.0)
+
+    def test_series_first_sampled_by_a_late_tick(self):
+        # The late tick at 12 opens a bucket (10) behind the newest one
+        # the store has seen (20); the next late tick must fold into it.
+        registry = MetricsRegistry()
+        registry.gauge("old").set(1.0)
+        store = TimeSeriesStore(step=10.0)
+        store.collect(registry, 0.0)
+        store.collect(registry, 25.0)
+        registry.gauge("new").set(2.0)
+        for now in (12.0, 18.0, 33.0):
+            store.collect(registry, now)
+        fed = [(12.0, 2.0), (18.0, 2.0), (33.0, 2.0)]
+        reference = _eager("new", fed, step=10.0)
+        assert _reads(store.get("new"), 0.0) == _reads(reference, 0.0)
+
+    def test_direct_observe_and_merge_settle_first(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(2.0)
+        store = TimeSeriesStore(step=1.0)
+        fed = []
+        for t in range(3):
+            store.collect(registry, float(t))
+            fed.append((float(t), 2.0))
+        store.observe("g", 2.5, 9.0)
+        fed.append((2.5, 9.0))
+        for t in range(3, 6):
+            store.collect(registry, float(t))
+            fed.append((float(t), 2.0))
+        other = TimeSeriesStore(step=1.0)
+        other.observe("g", 4.0, 7.0)
+        store.merge(other.snapshot())
+        # The reference store is only ever written eagerly.
+        reference_store = TimeSeriesStore(step=1.0)
+        reference = reference_store.series("g")
+        for t, value in fed:
+            reference.observe(t, value)
+        reference_store.merge(other.snapshot())
+        for t in range(6, 9):
+            store.collect(registry, float(t))
+            reference.observe(float(t), 2.0)
+        assert _reads(store.get("g"), 5.0) == _reads(reference, 5.0)
+
+    def test_cleared_registry_stops_its_series(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(1.0)
+        store = TimeSeriesStore(step=1.0)
+        for t in range(3):
+            store.collect(registry, float(t))
+        registry.clear()
+        for t in range(3, 6):
+            store.collect(registry, float(t))
+        assert len(store.get("g")) == 3
+        registry.gauge("g").set(1.0)
+        store.collect(registry, 6.0)
+        assert [p["t"] for p in store.get("g").points()] == [0.0, 1.0, 2.0, 6.0]
+
+    def test_another_registry_replaces_the_sampled_one(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        first.gauge("g").set(1.0)
+        second.gauge("g").set(1.0)
+        store = TimeSeriesStore(step=1.0)
+        store.collect(first, 0.0)
+        store.collect(first, 1.0)
+        store.collect(second, 2.0)
+        first.gauge("g").set(5.0)
+        store.collect(second, 3.0)
+        reference = _eager("g", [(t, 1.0) for t in (0.0, 1.0, 2.0, 3.0)], step=1.0)
+        assert _reads(store.get("g"), 1.0) == _reads(reference, 1.0)
+
+    def test_signed_zero_is_stored_not_held(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("g")
+        gauge.set(0.0)
+        store = TimeSeriesStore(step=1.0)
+        store.collect(registry, 0.0)
+        gauge.set(-0.0)
+        store.collect(registry, 1.0)
+        assert [math.copysign(1.0, p["last"]) for p in store.get("g").points()] == [
+            1.0,
+            -1.0,
+        ]
+
+    def test_tick_log_stays_within_the_ring_capacity(self):
+        registry = MetricsRegistry()
+        registry.gauge("g").set(1.0)
+        store = TimeSeriesStore(step=1.0, capacity=8)
+        for t in range(1000):
+            store.collect(registry, float(t))
+        assert len(store._log.entries) == 8
+        assert len(store.get("g")) == 8
+        assert len(store.get("g")._points) == 6
+
+
 class _Recorder:
     """Stub estimators/health recording the collector's call order."""
 
