@@ -142,24 +142,21 @@ def _make_tracer(args: argparse.Namespace):
     return Tracer()
 
 
-def _attach_observer(args: argparse.Namespace, engine: WorkflowEngine):
-    """One :class:`repro.obs.RunObserver` when ``--metrics``/``--trace``/
-    ``--serve-telemetry`` asks for it; ``None`` keeps the run entirely
-    uninstrumented."""
-    if not _wants_observer(args):
-        return None
-    from .obs import RunObserver
-
-    return RunObserver.attach(engine)
-
-
-def _start_telemetry(args: argparse.Namespace, runtime, grid, registry):
-    """Stand up the live telemetry plane: the flight recorder journaling
-    the bus, the statistical collector (time-series store, estimator
-    suite, health rules), and the HTTP scrape/status server.  Returns
-    ``(server, recorder, collector)``, any of which may be ``None``."""
-    recorder = server = collector = None
+def _start_telemetry(args: argparse.Namespace, runtime, grid):
+    """Stand up the telemetry the flags ask for: the run observer
+    (``--metrics``/``--trace``/``--serve-telemetry``), the flight recorder,
+    the statistical collector (time-series store, estimator suite, health
+    rules), and the HTTP scrape/status server.  Returns ``(observer,
+    server, recorder, collector)``, any of which may be ``None``; with no
+    flag the run stays entirely uninstrumented."""
+    observer = recorder = server = collector = None
     bus = runtime.bus
+    registry = None
+    if _wants_observer(args):
+        from .obs import RunObserver
+
+        observer = RunObserver(bus, clock=runtime.reactor.now)
+        registry = observer.metrics
     if args.flight_record:
         from .obs import FlightRecorder
 
@@ -229,7 +226,7 @@ def _start_telemetry(args: argparse.Namespace, runtime, grid, registry):
             f"/alerts, /timeseries, /workflows (watch with: repro.cli top "
             f"{server.url})"
         )
-    return server, recorder, collector
+    return observer, server, recorder, collector
 
 
 def _stop_telemetry(
@@ -289,9 +286,7 @@ def _drive_paced(reactor, is_done, pace: float, timeout: float | None) -> bool:
     return True
 
 
-def _export_observation(
-    args: argparse.Namespace, observer, grid, engine: WorkflowEngine
-) -> None:
+def _export_observation(args: argparse.Namespace, observer, grid, runtime) -> None:
     from .obs import (
         atomic_write_text,
         prometheus_text,
@@ -306,8 +301,8 @@ def _export_observation(
     # compactions) via scrape_kernel; the bus scrape adds route-cache
     # hit rates.  All are end-of-run pulls of plain-int counters.
     scrape_grid(observer.metrics, grid)
-    scrape_bus(observer.metrics, engine.runtime.bus)
-    scrape_detector(observer.metrics, engine.runtime.detector)
+    scrape_bus(observer.metrics, runtime.bus)
+    scrape_detector(observer.metrics, runtime.detector)
     if args.metrics:
         atomic_write_text(args.metrics, prometheus_text(observer.metrics))
         print(f"metrics written to {args.metrics}")
@@ -355,13 +350,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
     """Shared ``run``/``resume`` body: telemetry rig, (paced) drive,
     report, export, teardown."""
-    observer = _attach_observer(args, engine)
-    server, recorder, collector = _start_telemetry(
-        args,
-        engine.runtime,
-        grid,
-        observer.metrics if observer is not None else None,
-    )
+    observer, server, recorder, collector = _start_telemetry(args, engine.runtime, grid)
     try:
         if args.pace > 0:
             engine.start()
@@ -384,7 +373,7 @@ def _run_single(args: argparse.Namespace, grid, engine: WorkflowEngine) -> int:
         else:
             _print_result(result)
         if observer is not None:
-            _export_observation(args, observer, grid, engine)
+            _export_observation(args, observer, grid, engine.runtime)
     finally:
         _stop_telemetry(args, server, recorder, collector)
     return 0 if result.succeeded else 1
@@ -401,19 +390,7 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         tracer=_make_tracer(args),
     )
-    observer = None
-    if _wants_observer(args):
-        from .obs import RunObserver
-
-        observer = RunObserver(
-            host.runtime.bus, clock=host.runtime.reactor.now
-        )
-    server, recorder, collector = _start_telemetry(
-        args,
-        host.runtime,
-        grid,
-        observer.metrics if observer is not None else None,
-    )
+    observer, server, recorder, collector = _start_telemetry(args, host.runtime, grid)
     try:
         seen_specs: set[int] = set()
         for workflow in workflows:
@@ -443,18 +420,10 @@ def _run_multiplexed(args: argparse.Namespace, grid, workflows) -> int:
             )
         print(f"{succeeded}/{len(results)} instance(s) succeeded")
         if observer is not None:
-            _export_observation(args, observer, grid, _HostFacade(host))
+            _export_observation(args, observer, grid, host.runtime)
     finally:
         _stop_telemetry(args, server, recorder, collector)
     return 0 if succeeded == len(results) else 1
-
-
-class _HostFacade:
-    """Adapts an :class:`EngineHost` to ``_export_observation``'s
-    engine-shaped argument (only ``.runtime`` is consulted)."""
-
-    def __init__(self, host) -> None:
-        self.runtime = host.runtime
 
 
 def cmd_serve_batch(args: argparse.Namespace) -> int:

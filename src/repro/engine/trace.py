@@ -1,11 +1,13 @@
 """Structured execution traces.
 
 :class:`EngineTrace` is the query layer over :class:`repro.obs.observer.
-RunObserver` — the single recording path for engine lifecycle events,
+RunObserver` — the single observation path for engine lifecycle events,
 detector attempt outcomes and recovery-strategy dispatch.  It adds the
 trace-shaped helpers (counting topics, per-node views, attempt lists, a
 rendered timeline) that tests and debugging sessions want, on top of the
-observer's events, spans and metrics.  Useful for debugging recovery
+observer's events, spans and metrics; every query reads the events
+afresh from the bus's one event journal (:class:`repro.events.
+EventJournal`), in publish order.  Useful for debugging recovery
 behaviour ("why did this retry happen at t=42?"), for assertions in tests,
 and for feeding external monitoring via :mod:`repro.obs.export`.
 
@@ -41,13 +43,13 @@ class EngineTrace(RunObserver):
 
     def count(self, topic: str) -> int:
         """Number of recorded events with exactly this topic."""
-        return sum(1 for e in self._events if e.topic == topic)
+        return sum(1 for e in self.events if e.topic == topic)
 
     def for_node(self, name: str) -> list[TraceEvent]:
         """All events concerning one node/activity."""
         return [
             e
-            for e in self._events
+            for e in self.events
             if e.detail.get("node") == name or e.detail.get("activity") == name
         ]
 
@@ -56,11 +58,11 @@ class EngineTrace(RunObserver):
         terminal = {TASK_DONE, TASK_FAILED, TASK_EXCEPTION}
         return [
             e
-            for e in self._events
+            for e in self.events
             if e.topic in terminal and e.detail.get("activity") == activity
         ]
 
     def render(self) -> str:
         """The full trace, one line per event, time-ordered."""
-        ordered = sorted(self._events, key=lambda e: (e.at, e.topic))
+        ordered = sorted(self.events, key=lambda e: (e.at, e.topic))
         return "\n".join(str(e) for e in ordered)

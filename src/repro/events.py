@@ -37,19 +37,31 @@ per workflow instance (``task.active.wf-N``) would otherwise intern a dead
 route for every instance it ever ran.
 
 Publishers whose payload costs something to build ask :meth:`EventBus.wants`
-first.  It is true iff a publish on the topic would reach a tap, the
-history or a handler, so a payload skipped because it is false is one no
-one would have seen; publishes that do happen are delivered in the same
-order either way.
+first.  It is true iff a publish on the topic would reach a tap or a
+handler, so a payload skipped because it is false is one no one would have
+seen; publishes that do happen are delivered in the same order either way.
+
+Each bus keeps one journal of its publishes, :class:`EventJournal`.
+Every consumer of past events (the history, the run observer, the flight
+recorder) is a :class:`JournalView` over it, reading its own attach
+windows, in publish order.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["EventBus", "Subscription", "EventRecord"]
+__all__ = [
+    "EventBus",
+    "Subscription",
+    "EventRecord",
+    "BusSubscriber",
+    "EventJournal",
+    "JournalView",
+]
 
 Handler = Callable[[str, Any], None]
 
@@ -131,9 +143,11 @@ class EventBus:
         #: topic → handler-dict groups that match it, resolved lazily.
         self._routes: dict[str, tuple[dict[int, Handler], ...]] = {}
         self._next_token = 0
-        self._history: list[EventRecord] | None = None
         self._seq = 0
-        #: Every-event observers (flight recorders) invoked on each publish
+        #: The bus's one journal of past publishes (module docstring).
+        self.journal = EventJournal(self)
+        self._history_view: JournalView | None = None
+        #: Every-event observers (the journal) invoked on each publish
         #: *before* routed dispatch — in publish order, ahead of any
         #: recursive publishes a handler triggers.  A tuple so the empty
         #: common case costs one truthiness check on the hot path; taps
@@ -246,15 +260,14 @@ class EventBus:
         return route
 
     def wants(self, topic: str) -> bool:
-        """Whether a publish on *topic* would reach a tap, the history or
-        a handler.
+        """Whether a publish on *topic* would reach a tap or a handler.
 
         Publishers guard payloads that cost something to build with this,
         building them only when someone will see them; skipping a publish
-        this returns false for changes nothing any tap, history or
-        subscriber observes.
+        this returns false for changes nothing any tap (the journal
+        included) or subscriber observes.
         """
-        if self._taps or self._history is not None or topic in self._exact:
+        if self._taps or topic in self._exact:
             return True
         if self._patterns:
             for handlers in self._route(topic):
@@ -264,10 +277,6 @@ class EventBus:
 
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish *payload* on *topic*; returns number of handlers invoked."""
-        if self._history is not None:
-            self._history.append(
-                EventRecord(seq=self._seq, topic=topic, payload=payload)
-            )
         self._seq += 1
         taps = self._taps
         if taps:
@@ -321,15 +330,146 @@ class EventBus:
         }
 
     def enable_history(self) -> None:
-        """Start retaining every published event (for tests/diagnostics)."""
-        if self._history is None:
-            self._history = []
+        """Start retaining every published event (for tests/diagnostics):
+        an unbounded, always-attached view over the journal."""
+        if self._history_view is None:
+            self._history_view = JournalView(None)
+            self._history_view.attach(self)
 
     @property
     def history(self) -> list[EventRecord]:
         """Events recorded since :meth:`enable_history`; empty if disabled."""
-        return list(self._history or [])
+        if self._history_view is None:
+            return []
+        return [EventRecord(*record) for record in self._history_view.records()]
 
     def clear_history(self) -> None:
-        if self._history is not None:
-            self._history.clear()
+        """Start the history afresh.  Its old records stay in the journal's
+        ring, which is unbounded while the history is on."""
+        if self._history_view is not None:
+            self._history_view.detach()
+            self._history_view = None
+            self.enable_history()
+
+
+class BusSubscriber:
+    """Base for a bus consumer whose handlers are its ``TOPICS``: pairs of
+    a pattern and a method name, subscribed in that order by
+    :meth:`attach_bus` (idempotent per bus) and unsubscribed by
+    :meth:`detach` (idempotent)."""
+
+    TOPICS: tuple[tuple[str, str], ...] = ()
+    _bus: EventBus | None = None
+    _subscriptions: tuple[Subscription, ...] = ()
+
+    def attach_bus(self, bus: EventBus) -> Any:
+        if self._bus is not bus or not self._subscriptions:
+            self.detach()
+            self._bus = bus
+            self._subscriptions = tuple(
+                bus.subscribe(pattern, getattr(self, name))
+                for pattern, name in self.TOPICS
+            )
+        return self
+
+    def detach(self) -> None:
+        if self._bus is not None:
+            for sub in self._subscriptions:
+                self._bus.unsubscribe(sub)
+        self._subscriptions = ()
+
+    @property
+    def attached(self) -> bool:
+        return bool(self._subscriptions)
+
+
+class JournalView:
+    """One consumer's reading of a bus's :class:`EventJournal`: the
+    records published while it was attached (its windows), at most the
+    newest *bound* of them (``None``: no bound)."""
+
+    __slots__ = ("bound", "journal", "_windows")
+
+    def __init__(self, bound: int | None) -> None:
+        if bound is not None and bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        self.bound = bound
+        self.journal: EventJournal | None = None
+        #: ``[start, stop]`` publish sequence numbers, ``stop`` None while
+        #: attached.
+        self._windows: list[list[Any]] = []
+
+    @property
+    def attached(self) -> bool:
+        return bool(self._windows) and self._windows[-1][1] is None
+
+    def attach(self, bus: EventBus) -> None:
+        """Open a window on *bus* (idempotent).  Attaching to another bus
+        starts a new reading."""
+        if self.journal is not bus.journal:
+            self.detach()
+            self.journal, self._windows = bus.journal, []
+        if not self.attached:
+            self._windows.append([bus._seq, None])
+            bus.journal._attach(self.bound)
+
+    def detach(self) -> None:
+        """Close the open window (idempotent); what it read stays readable."""
+        if self.attached:
+            self._windows[-1][1] = self.journal.bus._seq
+            self.journal._detach()
+
+    def _spans(self) -> list[tuple[int, int]]:
+        end = self.journal.bus._seq if self._windows else 0
+        return [(a, end if b is None else b) for a, b in self._windows]
+
+    def recorded(self) -> int:
+        """Records published in this view's windows."""
+        return sum(stop - start for start, stop in self._spans())
+
+    def records(self) -> list[tuple[int, str, Any]]:
+        """What this view reads that the ring still holds, oldest first."""
+        spans = self._spans()
+        if not spans:
+            return []
+        ring = self.journal._ring
+        out = [r for r in ring if any(a <= r[0] < b for a, b in spans)]
+        return out if self.bound is None else out[-self.bound :]
+
+
+class EventJournal:
+    """The one journal of a bus's publishes.
+
+    A bus tap, present while at least one :class:`JournalView` is
+    attached, that appends ``(seq, topic, payload)`` records to one ring.
+    The ring holds the newest records up to the largest bound an attached
+    view has had (all of them once an unbounded view attached).
+    """
+
+    def __init__(self, bus: EventBus) -> None:
+        self.bus = bus
+        self._ring: deque[tuple[int, str, Any]] = deque(maxlen=1)
+        self._attached = 0
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def _attach(self, bound: int | None) -> None:
+        maxlen = self._ring.maxlen
+        if maxlen is not None and (bound is None or bound > maxlen):
+            self._ring = deque(self._ring, maxlen=bound)
+        if not self._attached:
+            self.bus.add_tap(self._record)
+        self._attached += 1
+
+    def _detach(self) -> None:
+        self._attached -= 1
+        if not self._attached:
+            self.bus.remove_tap(self._record)
+
+    def _record(self, topic: str, payload: Any) -> None:
+        # The tap: one shallow copy guards a dict payload against
+        # post-publish mutation; everything else is expanded when read.
+        if type(payload) is dict:
+            payload = dict(payload)
+        self._ring.append((self.bus._seq - 1, topic, payload))

@@ -17,10 +17,10 @@ a run.
 
 The live telemetry plane builds on those:
 :mod:`repro.obs.tracectx` (causal trace/span ids stamped through every
-bus payload), :mod:`repro.obs.recorder` (the flight recorder journaling
-every event), :mod:`repro.obs.postmortem` (``repro inspect`` timeline
-reconstruction), and :mod:`repro.obs.server` (the HTTP scrape/status
-endpoint behind ``--serve-telemetry``).
+bus payload), :mod:`repro.obs.recorder` (the flight recorder, a
+bounded view over the bus's event journal), :mod:`repro.obs.postmortem`
+(``repro inspect`` timeline reconstruction), and :mod:`repro.obs.server`
+(the HTTP scrape/status endpoint behind ``--serve-telemetry``).
 """
 
 from .core import NULL_OBS, Observability

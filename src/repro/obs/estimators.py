@@ -34,8 +34,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from ..events import BusSubscriber
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events import EventBus, Subscription
+    from ..events import EventBus
     from .metrics import MetricsRegistry
     from .timeseries import TimeSeriesStore
 
@@ -329,7 +331,7 @@ def priors_from_grid(grid: Any) -> dict[str, tuple[float, float]]:
     return priors
 
 
-class EstimatorSuite:
+class EstimatorSuite(BusSubscriber):
     """Bus subscriber maintaining every estimator and emitting drift.
 
     Subscribes to the terminal task outcomes and the heartbeat monitor's
@@ -345,6 +347,17 @@ class EstimatorSuite:
     subscribed until :meth:`attach_bus` runs, so a run without
     estimators pays zero dispatch cost.
     """
+
+    # Terminal outcomes only (prefix patterns cover the wf-scoped
+    # variants) — a "task.*" subscription would also pay a handler call
+    # per task.active event, which the estimators never use.
+    TOPICS = (
+        ("task.done*", "_on_task_event"),
+        ("task.failed*", "_on_task_event"),
+        ("task.exception*", "_on_task_event"),
+        ("detector.host_suspected", "_on_suspected"),
+        ("detector.host_recovered", "_on_recovered"),
+    )
 
     def __init__(
         self,
@@ -372,35 +385,8 @@ class EstimatorSuite:
         self._changed: set[ActivityEstimator] = set()
         self._exported: tuple["MetricsRegistry", int] | None = None
         self._clock = clock
-        self._bus: "EventBus | None" = None
-        self._subscriptions: list["Subscription"] = []
         if bus is not None:
             self.attach_bus(bus)
-
-    # -- wiring --------------------------------------------------------------
-
-    def attach_bus(self, bus: "EventBus") -> "EstimatorSuite":
-        if self._bus is bus and self._subscriptions:
-            return self
-        self.detach()
-        self._bus = bus
-        # Terminal outcomes only (prefix patterns cover the wf-scoped
-        # variants) — a "task.*" subscription would also pay a handler
-        # call per task.active event, which the estimators never use.
-        self._subscriptions = [
-            bus.subscribe("task.done*", self._on_task_event),
-            bus.subscribe("task.failed*", self._on_task_event),
-            bus.subscribe("task.exception*", self._on_task_event),
-            bus.subscribe("detector.host_suspected", self._on_suspected),
-            bus.subscribe("detector.host_recovered", self._on_recovered),
-        ]
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
 
     def _now(self) -> float:
         return self._clock() if self._clock is not None else 0.0

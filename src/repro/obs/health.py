@@ -26,8 +26,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..events import BusSubscriber
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..events import EventBus, Subscription
+    from ..events import EventBus
     from .estimators import EstimatorSuite
     from .timeseries import TimeSeriesStore
 
@@ -119,8 +121,10 @@ class _RuleState:
         self.drift_detail: dict[str, Any] | None = None
 
 
-class HealthEngine:
+class HealthEngine(BusSubscriber):
     """Evaluates the rule set against sim time; publishes alert edges."""
+
+    TOPICS = (("obs.drift.*", "_on_drift"),)
 
     def __init__(
         self,
@@ -129,24 +133,11 @@ class HealthEngine:
         bus: "EventBus | None" = None,
     ) -> None:
         self._clock = clock
-        self._bus: "EventBus | None" = None
-        self._drift_sub: "Subscription | None" = None
         self._rules: list[HealthRule] = []
         self._states: dict[str, _RuleState] = {}
         self._history: list[dict[str, Any]] = []
         if bus is not None:
             self.attach_bus(bus)
-
-    def attach_bus(self, bus: "EventBus") -> "HealthEngine":
-        self.detach()
-        self._bus = bus
-        self._drift_sub = bus.subscribe("obs.drift.*", self._on_drift)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None and self._drift_sub is not None:
-            self._bus.unsubscribe(self._drift_sub)
-        self._drift_sub = None
 
     # -- rule registration ---------------------------------------------------
 

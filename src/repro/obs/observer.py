@@ -9,12 +9,16 @@ publishes on its :class:`~repro.events.EventBus` —
 * ``recovery.*`` — the recovery coordinator's strategy dispatch (retries,
   backoff waits, checkpoint restarts, replication wins; plain dicts) —
 
-and turns them into one time-ordered event stream plus nested spans
-(``workflow.run`` ▸ ``node.run`` ▸ ``task.attempt`` / ``recovery.backoff``)
-and labelled metrics.  :class:`~repro.engine.trace.EngineTrace` is a thin
-query layer over this recording, and every exporter
-(:mod:`repro.obs.export`) renders it — the engine has exactly one
-observation path.
+and turns them into nested spans (``workflow.run`` ▸ ``node.run`` ▸
+``task.attempt`` / ``recovery.backoff``) and labelled metrics.  Its
+handlers do only that span and metric work.  The event stream,
+:attr:`RunObserver.events`, is a view over the bus's one event journal
+(:class:`~repro.events.EventJournal`): :class:`RecordedEvent` entries are
+built when read, from the journal's ``engine.``/``task.``/``recovery.``
+records of the observer's attach windows, in publish order.
+:class:`~repro.engine.trace.EngineTrace` is a thin query layer over this
+recording, and every exporter (:mod:`repro.obs.export`) renders it — the
+engine has exactly one observation path.
 
 Topic names are matched as string literals on purpose: the engine
 documents its bus payloads as plain dicts precisely so subscribers need no
@@ -29,11 +33,10 @@ record every run exactly once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..events import EventBus, Subscription
+from ..events import BusSubscriber, EventBus, JournalView
 from .core import Observability
 from .metrics import ATTEMPT_BUCKETS
 
@@ -44,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .spans import Span
 
 __all__ = [
+    "EVENT_BOUND",
     "RecordedEvent",
     "RunObserver",
     "scrape_grid",
@@ -68,6 +72,12 @@ class RecordedEvent:
         return f"{self.at:10.3f}  {self.topic:24s} {parts}"
 
 
+#: The observer reads at most this many journal records of its attach
+#: windows (the newest; every topic counts toward the bound), and lists
+#: the ``engine.``/``task.``/``recovery.`` ones among them as events.
+EVENT_BOUND = 100_000
+
+_OBSERVED_FAMILIES = ("engine.", "task.", "recovery.")
 _TERMINAL_TASK_TOPICS = ("task.done", "task.failed", "task.exception")
 _TASK_BASE_TOPICS = ("task.active",) + _TERMINAL_TASK_TOPICS
 
@@ -86,8 +96,53 @@ def _base_task_topic(topic: str) -> str:
     return topic
 
 
-class RunObserver:
-    """Records engine/detector/recovery bus traffic into one stream."""
+def _trace_ids(payload: Any) -> dict[str, str]:
+    """The causal ids the tracer (:mod:`repro.obs.tracectx`) stamped on a
+    dict or AttemptOutcome payload, as span labels."""
+    keys = ("span_id", "parent_id")
+    if isinstance(payload, dict):
+        return {key: payload[key] for key in keys if payload.get(key)}
+    return {key: getattr(payload, key) for key in keys if getattr(payload, key, "")}
+
+
+def _recorded_event(topic: str, payload: Any) -> RecordedEvent:
+    """One journal record → the observer's flat event (at read time).
+
+    Dict payloads (engine lifecycle, recovery dispatch) become the detail
+    minus their ``at``; ``task.*`` AttemptOutcome payloads are read
+    duck-typed through the published contract.
+    """
+    if topic.startswith("task."):
+        job = getattr(payload, "job_id", None)
+        if job is not None:
+            exception = payload.exception
+            detail = {
+                "job": job,
+                "activity": payload.activity,
+                "host": payload.hostname,
+                "reason": payload.reason,
+                "exception": exception.name if exception else None,
+            }
+            wfid = getattr(payload, "workflow_id", "") or ""
+            if wfid:
+                detail["workflow_id"] = wfid
+            detail.update(_trace_ids(payload))
+            return RecordedEvent(at=payload.at, topic=topic, detail=detail)
+        return RecordedEvent(at=0.0, topic=topic, detail={"payload": payload})
+    detail = dict(payload) if isinstance(payload, dict) else {"payload": payload}
+    at = float(detail.pop("at", 0.0) or 0.0)
+    return RecordedEvent(at=at, topic=topic, detail=detail)
+
+
+class RunObserver(BusSubscriber):
+    """Observes engine/detector/recovery bus traffic: spans and metrics
+    as it happens, the event stream as a view over the bus's journal."""
+
+    TOPICS = (
+        ("engine.*", "_on_engine_event"),
+        ("task.*", "_on_task_event"),
+        ("recovery.*", "_on_recovery_event"),
+    )
 
     def __init__(
         self,
@@ -95,14 +150,11 @@ class RunObserver:
         *,
         obs: Observability | None = None,
         clock: Any = None,
-        max_events: int = 100_000,
     ) -> None:
         self.obs = obs if obs is not None else Observability()
         if clock is not None:
             self.obs.bind_clock(clock)
-        self._events: deque[RecordedEvent] = deque(maxlen=max_events)
-        self._bus: EventBus | None = None
-        self._subscriptions: list[Subscription] = []
+        self._view = JournalView(EVENT_BOUND)
         # Per-run span bookkeeping, keyed by workflow_id ("" for a classic
         # single-instance run) so N multiplexed instances never share or
         # clobber each other's spans; cleared per-instance on
@@ -129,36 +181,28 @@ class RunObserver:
     def attach_bus(self, bus: EventBus) -> "RunObserver":
         """Subscribe to *bus*.  Idempotent: re-attaching to the bus we are
         already subscribed to is a no-op, so callers may safely re-attach
-        after :meth:`WorkflowEngine.reset` without double-recording."""
-        if self._bus is bus and self._subscriptions:
-            return self
-        if self._subscriptions:
-            self.detach()
-        self._bus = bus
-        self._subscriptions = [
-            bus.subscribe("engine.*", self._on_engine_event),
-            bus.subscribe("task.*", self._on_task_event),
-            bus.subscribe("recovery.*", self._on_recovery_event),
-        ]
+        after :meth:`WorkflowEngine.reset` without double-recording.
+        Attaching to a different bus starts a new event recording."""
+        super().attach_bus(bus)
+        self._view.attach(bus)
         return self
 
     def detach(self) -> None:
         """Stop recording (idempotent; the recording remains readable)."""
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
-
-    @property
-    def attached(self) -> bool:
-        return bool(self._subscriptions)
+        super().detach()
+        self._view.detach()
 
     # -- recorded state ------------------------------------------------------
 
     @property
     def events(self) -> list[RecordedEvent]:
-        """The observed events, oldest first (bounded ring)."""
-        return list(self._events)
+        """The observed events in publish order, built from the journal
+        (at most :data:`EVENT_BOUND` records read)."""
+        return [
+            _recorded_event(topic, payload)
+            for _seq, topic, payload in self._view.records()
+            if topic.startswith(_OBSERVED_FAMILIES)
+        ]
 
     @property
     def spans(self) -> list["Span"]:
@@ -175,11 +219,7 @@ class RunObserver:
     # -- engine lifecycle ----------------------------------------------------
 
     def _on_engine_event(self, topic: str, payload: Any) -> None:
-        detail = (
-            dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        )
-        at = float(detail.pop("at", 0.0) or 0.0)
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
+        detail = payload if isinstance(payload, dict) else {}
         node = detail.get("node")
         workflow = detail.get("workflow", "")
         wfid = detail.get("workflow_id", "") or ""
@@ -254,92 +294,55 @@ class RunObserver:
         # AttemptOutcome, duck-typed via the published contract.
         job = getattr(payload, "job_id", None)
         if job is None:  # pragma: no cover - defensive
-            self._events.append(
-                RecordedEvent(at=0.0, topic=topic, detail={"payload": payload})
-            )
             return
         activity = payload.activity
-        exception = payload.exception
         wfid = getattr(payload, "workflow_id", "") or ""
         wl = {"workflow_id": wfid} if wfid else {}
-        detail = {
-            "job": job,
-            "activity": activity,
-            "host": payload.hostname,
-            "reason": payload.reason,
-            "exception": exception.name if exception else None,
-        }
-        if wfid:
-            detail["workflow_id"] = wfid
-        # Causal ids stamped by the tracer (repro.obs.tracectx), carried as
-        # span labels so exporters can draw the decision → attempt chain.
-        trace_labels = {
-            key: value
-            for key, value in (
-                ("span_id", getattr(payload, "span_id", "") or ""),
-                ("parent_id", getattr(payload, "parent_id", "") or ""),
-            )
-            if value
-        }
-        if trace_labels:
-            detail.update(trace_labels)
-        at = payload.at
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
-        spans = self.obs.spans
         base = _base_task_topic(topic)
-        if base == "task.active":
+        started = base == "task.active"
+        if not started and base not in _TERMINAL_TASK_TOPICS:
+            return
+        spans = self.obs.spans
+        span = None if started else self._attempt_spans.pop(job, None)
+        if span is None:
+            # A start, or a terminal before TaskStart (an instant crash: a
+            # zero-duration attempt, so the trace still shows it).
             node_span = self._node_span(wfid, activity)
-            self._attempt_spans[job] = spans.begin(
+            span = spans.begin(
                 "task.attempt",
                 parent=node_span.id if node_span is not None else None,
                 activity=activity,
                 job=job,
                 host=payload.hostname,
                 **wl,
-                **trace_labels,
+                **_trace_ids(payload),
             )
-        elif base in _TERMINAL_TASK_TOPICS:
-            outcome = base.rsplit(".", 1)[1]
-            span = self._attempt_spans.pop(job, None)
-            if span is None:
-                # Terminal before TaskStart (e.g. instant crash): record a
-                # zero-duration attempt so the trace still shows it.
-                node_span = self._node_span(wfid, activity)
-                span = spans.begin(
-                    "task.attempt",
-                    parent=node_span.id if node_span is not None else None,
-                    activity=activity,
-                    job=job,
-                    host=payload.hostname,
-                    **wl,
-                    **trace_labels,
-                )
-            span.labels["outcome"] = outcome
-            if payload.reason:
-                span.labels["reason"] = payload.reason
-            spans.end(span)
-            metrics = self.obs.metrics
-            metrics.counter(
-                "task_attempts_total",
-                help="terminal detector outcomes per attempt",
-                activity=activity,
-                outcome=outcome,
-                **wl,
-            ).inc()
-            metrics.histogram(
-                "task_attempt_sim_seconds",
-                help="virtual seconds from TaskStart to terminal outcome",
-                activity=activity,
-            ).observe(span.sim_duration)
+        if started:
+            self._attempt_spans[job] = span
+            return
+        outcome = base.rsplit(".", 1)[1]
+        span.labels["outcome"] = outcome
+        if payload.reason:
+            span.labels["reason"] = payload.reason
+        spans.end(span)
+        metrics = self.obs.metrics
+        metrics.counter(
+            "task_attempts_total",
+            help="terminal detector outcomes per attempt",
+            activity=activity,
+            outcome=outcome,
+            **wl,
+        ).inc()
+        metrics.histogram(
+            "task_attempt_sim_seconds",
+            help="virtual seconds from TaskStart to terminal outcome",
+            activity=activity,
+        ).observe(span.sim_duration)
 
     # -- recovery dispatch ---------------------------------------------------
 
     def _on_recovery_event(self, topic: str, payload: Any) -> None:
-        detail = (
-            dict(payload) if isinstance(payload, dict) else {"payload": payload}
-        )
-        at = float(detail.pop("at", 0.0) or 0.0)
-        self._events.append(RecordedEvent(at=at, topic=topic, detail=detail))
+        detail = payload if isinstance(payload, dict) else {}
         activity = detail.get("activity", "")
         wfid = detail.get("workflow_id", "") or ""
         wl = {"workflow_id": wfid} if wfid else {}
@@ -348,18 +351,13 @@ class RunObserver:
         # its node, carrying the causal ids — the chrome_trace exporter
         # draws flow arrows from these to the attempts they spawned.
         if topic != "recovery.resolved":
-            trace_labels = {
-                key: detail[key]
-                for key in ("span_id", "parent_id")
-                if detail.get(key)
-            }
             node_span = self._node_span(wfid, activity)
             self.obs.spans.instant(
                 topic,
                 parent=node_span.id if node_span is not None else None,
                 activity=activity,
                 **wl,
-                **trace_labels,
+                **_trace_ids(detail),
             )
         if topic == "recovery.retry":
             delay = float(detail.get("delay", 0.0) or 0.0)
@@ -375,6 +373,7 @@ class RunObserver:
                 activity=activity,
             ).observe(delay)
             if delay > 0:
+                at = float(detail.get("at", 0.0) or 0.0)
                 node_span = self._node_span(wfid, activity)
                 self.obs.spans.interval(
                     "recovery.backoff",
@@ -423,27 +422,20 @@ def scrape_kernel(registry: "MetricsRegistry", kernel: Any) -> None:
     cheap plain-int counters on its hot path, so scraping once at export
     time costs nothing per event.
     """
-    kernel_stats = kernel.stats()
-    gauge = registry.gauge
-    gauge(
-        "sim_events_processed", help="callbacks executed by the sim kernel"
-    ).set(kernel_stats["events_processed"])
-    gauge(
-        "sim_timers_scheduled", help="timer entries pushed onto the heap"
-    ).set(kernel_stats["timers_scheduled"])
-    gauge(
-        "sim_timers_cancelled", help="timer entries lazily cancelled"
-    ).set(kernel_stats["timers_cancelled"])
-    gauge(
-        "sim_timer_compactions", help="in-place heap compaction passes"
-    ).set(kernel_stats["compactions"])
-    gauge(
-        "sim_cancelled_timer_ratio",
-        help="cancelled / scheduled timers (lazy-cancellation pressure)",
-    ).set(
-        kernel_stats["timers_cancelled"]
-        / max(1, kernel_stats["timers_scheduled"])
-    )
+    stats = dict(kernel.stats())
+    ratio = stats["timers_cancelled"] / max(1, stats["timers_scheduled"])
+    stats.update(timer_compactions=stats["compactions"], cancelled_timer_ratio=ratio)
+    for key, help_text in (
+        ("events_processed", "callbacks executed by the sim kernel"),
+        ("timers_scheduled", "timer entries pushed onto the heap"),
+        ("timers_cancelled", "timer entries lazily cancelled"),
+        ("timer_compactions", "in-place heap compaction passes"),
+        (
+            "cancelled_timer_ratio",
+            "cancelled / scheduled timers (lazy-cancellation pressure)",
+        ),
+    ):
+        registry.gauge(f"sim_{key}", help=help_text).set(stats[key])
 
 
 def scrape_bus(registry: "MetricsRegistry", bus: "EventBus") -> None:
@@ -454,36 +446,20 @@ def scrape_bus(registry: "MetricsRegistry", bus: "EventBus") -> None:
     figure the multiplexed-host benchmarks watch.
     """
     stats = bus.stats()
-    gauge = registry.gauge
-    gauge("bus_publishes", help="events published on the bus").set(
-        stats["publishes"]
-    )
-    gauge(
-        "bus_cached_routes", help="interned topic → subscriber routes"
-    ).set(stats["cached_routes"])
-    gauge(
-        "bus_route_builds", help="full matching passes (route-cache misses)"
-    ).set(stats["route_builds"])
-    gauge(
-        "bus_subscription_groups",
-        help="live exact-topic groups plus pattern entries",
-    ).set(stats["exact_topics"] + stats["pattern_entries"])
-    gauge(
-        "bus_route_cache_hit_rate",
-        help="publishes served without a matching pass",
-    ).set(1.0 - stats["route_builds"] / max(1, stats["publishes"]))
-    gauge(
-        "bus_prefix_patterns",
-        help="wildcard patterns on the startswith fast path",
-    ).set(stats["prefix_patterns"])
-    gauge(
-        "bus_regex_patterns",
-        help="wildcard patterns requiring a compiled regex",
-    ).set(stats["regex_patterns"])
-    gauge(
-        "bus_prefix_fastpath_share",
-        help="fraction of live patterns matched via startswith",
-    ).set(stats["prefix_fastpath_share"])
+    groups = stats["exact_topics"] + stats["pattern_entries"]
+    hit_rate = 1.0 - stats["route_builds"] / max(1, stats["publishes"])
+    stats.update(subscription_groups=groups, route_cache_hit_rate=hit_rate)
+    for key, help_text in (
+        ("publishes", "events published on the bus"),
+        ("cached_routes", "interned topic → subscriber routes"),
+        ("route_builds", "full matching passes (route-cache misses)"),
+        ("subscription_groups", "live exact-topic groups plus pattern entries"),
+        ("route_cache_hit_rate", "publishes served without a matching pass"),
+        ("prefix_patterns", "wildcard patterns on the startswith fast path"),
+        ("regex_patterns", "wildcard patterns requiring a compiled regex"),
+        ("prefix_fastpath_share", "fraction of live patterns matched via startswith"),
+    ):
+        registry.gauge(f"bus_{key}", help=help_text).set(stats[key])
 
 
 def scrape_grid(registry: "MetricsRegistry", grid: "SimulatedGrid") -> None:

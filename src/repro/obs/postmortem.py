@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .observer import _TERMINAL_TASK_TOPICS, _base_task_topic
 from .recorder import JOURNAL_VERSION
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "render_report",
 ]
 
-_TERMINAL_TASK = ("task.done", "task.failed", "task.exception")
 _RECOVERY_TOPICS = (
     "recovery.retry",
     "recovery.checkpoint_restart",
@@ -39,14 +39,6 @@ _RECOVERY_TOPICS = (
     "recovery.exhausted",
     "recovery.resolved",
 )
-
-
-def _base_topic(topic: str) -> str:
-    """``task.done.wf-3`` → ``task.done`` (workflow-scoped republishes)."""
-    for base in ("task.active",) + _TERMINAL_TASK:
-        if topic == base or topic.startswith(base + "."):
-            return base
-    return topic
 
 
 @dataclass
@@ -165,7 +157,7 @@ def build_timelines(
 
     attempts_by_job: dict[str, AttemptRecord] = {}
     for entry in entries:
-        topic = _base_topic(str(entry.get("topic", "")))
+        topic = _base_task_topic(str(entry.get("topic", "")))
         if topic == "engine.node_launched":
             register_span(entry, f"launch:{entry.get('node', '?')}")
         elif topic in ("engine.node_completed", "engine.node_cancelled"):
@@ -177,26 +169,12 @@ def build_timelines(
             tl.status = str(entry.get("status", ""))
             at = entry.get("at")
             tl.finished_at = float(at) if at is not None else None
-        elif topic == "task.active":
+        elif topic == "task.active" or topic in _TERMINAL_TASK_TOPICS:
             tl = timeline(entry)
             job = str(entry.get("job_id", entry.get("job", "?")))
-            record = AttemptRecord(
-                job=job,
-                activity=str(entry.get("activity", "")),
-                host=str(entry.get("hostname", entry.get("host", ""))),
-                started_at=float(entry["at"]) if "at" in entry else None,
-                outcome="in-flight",
-                span_id=str(entry.get("span_id", "") or ""),
-                parent_id=str(entry.get("parent_id", "") or ""),
-            )
-            attempts_by_job[job] = record
-            tl.attempts.append(record)
-            register_span(entry, f"attempt:{job}")
-        elif topic in _TERMINAL_TASK:
-            tl = timeline(entry)
-            job = str(entry.get("job_id", entry.get("job", "?")))
-            record = attempts_by_job.get(job)
-            if record is None:  # terminal with no recorded start
+            started = topic == "task.active"
+            record = None if started else attempts_by_job.get(job)
+            if record is None:  # a start, or a terminal with no recorded start
                 record = AttemptRecord(
                     job=job,
                     activity=str(entry.get("activity", "")),
@@ -207,11 +185,15 @@ def build_timelines(
                 attempts_by_job[job] = record
                 tl.attempts.append(record)
                 register_span(entry, f"attempt:{job}")
+            at = float(entry["at"]) if "at" in entry else None
+            if started:
+                record.started_at = at
+                continue
             record.outcome = topic.rsplit(".", 1)[1]
             record.reason = str(entry.get("reason", "") or "")
             record.exception = str(entry.get("exception", "") or "")
-            if "at" in entry:
-                record.ended_at = float(entry["at"])
+            if at is not None:
+                record.ended_at = at
         elif topic in _RECOVERY_TOPICS:
             tl = timeline(entry)
             decision = DecisionRecord(
@@ -241,16 +223,9 @@ def build_timelines(
 
     # Second pass: resolve causal arrows now every span is registered.
     for tl in timelines.values():
-        for attempt in tl.attempts:
-            if attempt.parent_id:
-                attempt.caused_by = span_events.get(
-                    attempt.parent_id, f"[{attempt.parent_id}]"
-                )
-        for decision in tl.decisions:
-            if decision.parent_id:
-                decision.caused_by = span_events.get(
-                    decision.parent_id, f"[{decision.parent_id}]"
-                )
+        for item in (*tl.attempts, *tl.decisions):
+            if item.parent_id:
+                item.caused_by = span_events.get(item.parent_id, f"[{item.parent_id}]")
     return timelines
 
 

@@ -2,35 +2,37 @@
 
 A failure-handling framework is judged in the moments *after* something
 went wrong — and by then the interesting events have already happened.
-:class:`FlightRecorder` taps the whole :class:`~repro.events.EventBus`
-(:meth:`~repro.events.EventBus.add_tap`) and journals every publish into a
-bounded in-memory ring, optionally spilling each entry to a JSON-lines file
-as it arrives so a crash loses nothing.  ``repro inspect`` (:mod:`repro.obs.postmortem`)
-rebuilds a causally-linked per-workflow timeline from either source.
+:class:`FlightRecorder` is a bounded view over the bus's one event
+journal (:class:`~repro.events.EventJournal`): it reads the last
+*capacity* publishes made while it was attached, optionally spilling
+each entry to a JSON-lines file as it arrives so a crash loses nothing.
+``repro inspect`` (:mod:`repro.obs.postmortem`) rebuilds a
+causally-linked per-workflow timeline from either source.
 
-Entries are plain JSON-safe dicts built from the published payload
-contract — dict payloads are copied shallowly,
-:class:`~repro.detection.detector.AttemptOutcome`-shaped payloads are
-read duck-typed, anything else degrades to ``repr``.  The recorder never
-imports engine types and never raises out of its subscription: a broken
-payload becomes a journal entry complaining about itself rather than a
-crashed run.
+Entries are plain JSON-safe dicts built at read time from the published
+payload contract — dict payloads (copied once, by the journal) flatten
+into the entry, :class:`~repro.detection.detector.AttemptOutcome`-shaped
+payloads are read duck-typed, anything else degrades to ``repr``.  An
+entry's ``seq`` counts this recorder's own records from 0.  The recorder
+never imports engine types and never raises out of the publishing path:
+a broken payload becomes a journal entry complaining about itself rather
+than a crashed run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from collections import deque
 from typing import IO, Any
 
-from ..events import EventBus
+from ..events import EventBus, JournalView
+from .export import atomic_write_text
 
 __all__ = ["FlightRecorder", "JOURNAL_VERSION"]
 
 #: Stamped into every spill file header line so ``repro inspect`` can
 #: refuse recordings from an incompatible future layout.
 JOURNAL_VERSION = 1
+_HEADER = json.dumps({"journal_version": JOURNAL_VERSION}) + "\n"
 
 #: AttemptOutcome attributes copied into a journal entry when present.
 _OUTCOME_FIELDS = (
@@ -64,8 +66,8 @@ def _expand(record: tuple[int, str, Any]) -> dict[str, Any]:
     """One raw ring record → the JSON-safe journal entry.
 
     Runs at read time (``entries`` / ``dump``) or in the spill writer —
-    never on the spill-less recording hot path, which only snapshots the
-    payload.  Dict payloads flatten into the entry, AttemptOutcome-shaped
+    never on the spill-less recording hot path, which is the journal's
+    append.  Dict payloads flatten into the entry, AttemptOutcome-shaped
     payloads are read duck-typed, anything else degrades to ``repr``.
     """
     seq, topic, payload = record
@@ -90,13 +92,15 @@ def _expand(record: tuple[int, str, Any]) -> dict[str, Any]:
 
 
 class FlightRecorder:
-    """Journals every bus publish into a ring, optionally spilling to disk.
+    """A bounded view over a bus's event journal, optionally spilled.
 
-    *capacity* bounds the in-memory ring (oldest entries are overwritten;
-    :meth:`stats` counts the overwrites).  *spill_path* streams every
-    entry to a JSON-lines file as it is recorded, so the on-disk journal
-    is complete even when the ring has wrapped — and even if the process
-    dies mid-run, modulo OS buffering.
+    *capacity* bounds what the recorder reads back (the oldest records
+    are overwritten; :meth:`stats` counts the overwrites).  *spill_path*
+    streams every entry to a JSON-lines file as it is published, so the
+    on-disk journal is complete even when the view has wrapped — and even
+    if the process dies mid-run, modulo OS buffering.  Any number of
+    recorders, spilling or not, may share one bus.  Attaching to a
+    different bus starts a new recording.
     """
 
     def __init__(
@@ -106,21 +110,13 @@ class FlightRecorder:
         capacity: int = 65_536,
         spill_path: str | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self._ring: deque[tuple[int, str, Any]] = deque(maxlen=capacity)
-        self._seq = 0
-        self._overwritten = 0
+        self._view = JournalView(capacity)  # rejects a nonpositive capacity
         self._spilled = 0
         self.spill_path = spill_path
         self._spill: IO[str] | None = None
         if spill_path is not None:
             self._spill = open(spill_path, "w", encoding="utf-8")
-            self._spill.write(
-                json.dumps({"journal_version": JOURNAL_VERSION}) + "\n"
-            )
-        self._bus: EventBus | None = None
-        self._attached = False
+            self._spill.write(_HEADER)
         if bus is not None:
             self.attach_bus(bus)
 
@@ -129,24 +125,24 @@ class FlightRecorder:
     def attach_bus(self, bus: EventBus) -> "FlightRecorder":
         """Record everything *bus* publishes.  Idempotent per bus.
 
-        The recorder registers as a bus *tap* (:meth:`EventBus.add_tap`)
-        rather than a ``"*"`` subscription: a tap sees every publish in
-        publish order without adding a group to every topic's dispatch
-        route — what keeps recorder-enabled runs inside the overhead gate.
+        The journal is a bus *tap* (:meth:`EventBus.add_tap`) rather than
+        a ``"*"`` subscription: a tap sees every publish in publish order
+        without adding a group to every topic's dispatch route.  A
+        spilling recorder adds one more tap, its spill writer.
         """
-        if self._bus is bus and self._attached:
+        if self._view.attached and self._view.journal is bus.journal:
             return self
         self.detach()
-        self._bus = bus
-        bus.add_tap(self._on_event)
-        self._attached = True
+        self._view.attach(bus)
+        if self._spill is not None:
+            bus.add_tap(self._spill_event)
         return self
 
     def detach(self) -> None:
         """Stop recording (idempotent; the journal stays readable)."""
-        if self._bus is not None and self._attached:
-            self._bus.remove_tap(self._on_event)
-        self._attached = False
+        if self._view.attached:
+            self._view.journal.bus.remove_tap(self._spill_event)
+            self._view.detach()
 
     def close(self) -> None:
         """Detach and flush/close the spill file, if any."""
@@ -161,65 +157,43 @@ class FlightRecorder:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-    # -- recording -----------------------------------------------------------
+    # -- spilling ------------------------------------------------------------
 
-    def _on_event(self, topic: str, payload: Any) -> None:
-        # The per-publish hot path: snapshot the payload (a shallow dict
-        # copy guards against post-publish mutation) and append; the
-        # JSON-safe entry is built lazily by :func:`_expand` at read time.
+    def _spill_event(self, topic: str, payload: Any) -> None:
         # The spill writer pays the expansion per event by design — a
-        # complete on-disk journal is its whole point.
-        if type(payload) is dict:
-            payload = dict(payload)
-        ring = self._ring
-        if len(ring) == ring.maxlen:
-            self._overwritten += 1
-        record = (self._seq, topic, payload)
-        self._seq += 1
-        ring.append(record)
-        if self._spill is not None:
-            try:
-                self._spill.write(json.dumps(_expand(record)) + "\n")
-            except Exception as exc:  # never crash the publishing hot path
-                self._spill.write(
-                    json.dumps(
-                        {
-                            "seq": record[0],
-                            "topic": topic,
-                            "recorder_error": repr(exc),
-                        }
-                    )
-                    + "\n"
-                )
-            self._spilled += 1
+        # complete on-disk journal is its whole point.  _expand never
+        # raises: a broken payload journals its own complaint.
+        entry = _expand((self._spilled, topic, payload))
+        self._spill.write(json.dumps(entry) + "\n")  # type: ignore[union-attr]
+        self._spilled += 1
 
     # -- reading -------------------------------------------------------------
 
     @property
     def entries(self) -> list[dict[str, Any]]:
-        """The journal as JSON-safe entries, oldest first (what the ring
-        still holds)."""
-        return [_expand(record) for record in self._ring]
+        """The journal as JSON-safe entries, oldest first (what the view
+        still holds), numbered from this recorder's first record."""
+        records = self._view.records()
+        first = self._view.recorded() - len(records)
+        return [
+            _expand((first + i, topic, payload))
+            for i, (_seq, topic, payload) in enumerate(records)
+        ]
 
     def stats(self) -> dict[str, int]:
+        recorded = self._view.recorded()
+        retained = len(self._view.records())
         return {
-            "recorded": self._seq,
-            "retained": len(self._ring),
-            "overwritten": self._overwritten,
+            "recorded": recorded,
+            "retained": retained,
+            "overwritten": recorded - retained,
             "spilled": self._spilled,
         }
 
     def dump(self, path: str) -> int:
-        """Write the ring to *path* as JSON lines, atomically.
-
-        The file appears complete or not at all (``.tmp`` + rename), and
-        carries the same version header as a spill file.  Returns the
-        number of entries written.
-        """
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"journal_version": JOURNAL_VERSION}) + "\n")
-            for record in self._ring:
-                fh.write(json.dumps(_expand(record)) + "\n")
-        os.replace(tmp, path)
-        return len(self._ring)
+        """Write the retained journal to *path* as JSON lines, atomically
+        (:func:`~repro.obs.export.atomic_write_text`), under the same
+        version header as a spill file.  Returns the entries written."""
+        lines = [json.dumps(entry) + "\n" for entry in self.entries]
+        atomic_write_text(path, _HEADER + "".join(lines))
+        return len(lines)

@@ -35,49 +35,27 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
-from ..events import EventBus, Subscription
+from ..events import BusSubscriber, EventBus
 from .export import _finite, prometheus_text
 from .metrics import MetricsRegistry
+from .observer import _TERMINAL_TASK_TOPICS, _base_task_topic
 
 __all__ = ["WorkflowStatusTracker", "TelemetryServer"]
 
-_TERMINAL_TASK = ("task.done", "task.failed", "task.exception")
 
-
-def _base_task_topic(topic: str) -> str:
-    for base in ("task.active",) + _TERMINAL_TASK:
-        if topic == base or topic.startswith(base + "."):
-            return base
-    return topic
-
-
-class WorkflowStatusTracker:
+class WorkflowStatusTracker(BusSubscriber):
     """Bus subscriber keeping a JSON-safe live status per workflow instance."""
+
+    TOPICS = (
+        ("engine.*", "_on_engine_event"),
+        ("task.*", "_on_task_event"),
+        ("recovery.*", "_on_recovery_event"),
+    )
 
     def __init__(self, bus: EventBus | None = None) -> None:
         self._status: dict[str, dict[str, Any]] = {}
-        self._bus: EventBus | None = None
-        self._subscriptions: list[Subscription] = []
         if bus is not None:
             self.attach_bus(bus)
-
-    def attach_bus(self, bus: EventBus) -> "WorkflowStatusTracker":
-        if self._bus is bus and self._subscriptions:
-            return self
-        self.detach()
-        self._bus = bus
-        self._subscriptions = [
-            bus.subscribe("engine.*", self._on_engine_event),
-            bus.subscribe("task.*", self._on_task_event),
-            bus.subscribe("recovery.*", self._on_recovery_event),
-        ]
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            for sub in self._subscriptions:
-                self._bus.unsubscribe(sub)
-        self._subscriptions.clear()
 
     # -- event handlers (reactor thread) -------------------------------------
 
@@ -136,7 +114,7 @@ class WorkflowStatusTracker:
         if base == "task.active":
             attempts["total"] = attempts.get("total", 0) + 1
             attempts["in_flight"] = attempts.get("in_flight", 0) + 1
-        elif base in _TERMINAL_TASK:
+        elif base in _TERMINAL_TASK_TOPICS:
             outcome = base.rsplit(".", 1)[1]
             attempts[outcome] = attempts.get(outcome, 0) + 1
             attempts["in_flight"] = max(0, attempts.get("in_flight", 0) - 1)
